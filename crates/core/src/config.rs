@@ -109,8 +109,12 @@ pub struct OptimizationConfig {
     pub objective: Objective,
     /// Acceptable accuracy drop (0.0 / 0.01 / 0.02 in the evaluation).
     pub accuracy_threshold: f32,
-    /// Search rounds (paper: 200).
+    /// Search iterations (paper: 200), one candidate each.
     pub iterations: usize,
+    /// Candidates per search round, K: 1 (the default) is the sequential
+    /// search; K > 1 fine-tunes each round's K candidates concurrently
+    /// (§7's "sampling multiple models in parallel").
+    pub batch_size: usize,
     /// Accuracy estimation backend.
     pub mode: AccuracyMode,
     /// Sampling policy.
@@ -164,6 +168,7 @@ impl Default for OptimizationConfig {
             objective: Objective::Latency,
             accuracy_threshold: 0.01,
             iterations: 24,
+            batch_size: 1,
             mode: AccuracyMode::Surrogate,
             policy: PolicyKind::SimulatedAnnealing,
             rule_filter: false,
@@ -202,6 +207,7 @@ impl OptimizationConfig {
     pub fn to_search_config(&self) -> SearchConfig {
         SearchConfig {
             iterations: self.iterations,
+            batch_size: self.batch_size,
             objective: self.objective,
             policy: self.policy,
             max_ops_per_pass: self.max_ops_per_pass,

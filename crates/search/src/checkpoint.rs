@@ -1,10 +1,10 @@
-//! Crash-safe checkpoint/resume for the search drivers.
+//! Crash-safe checkpoint/resume for the search driver.
 //!
 //! The search loop's full state — RNG stream, SA policy temperature state,
 //! elite list and dedup set, capacity-rule failures, virtual clock, best
 //! model, outcome counters, and the per-iteration trace — is snapshotted
-//! into a [`gmorph_tensor::checkpoint`] envelope after every iteration and
-//! written to disk every K iterations (and on drop/panic unwind) by the
+//! into a [`gmorph_tensor::checkpoint`] envelope after every round and
+//! written to disk every N iterations (and on drop/panic unwind) by the
 //! [`CheckpointManager`]. Resuming from the newest valid snapshot replays
 //! the remainder of the run *bit-exactly*: the resumed `SearchResult`
 //! (everything except wall-clock seconds) and fused model bytes equal the
@@ -28,11 +28,9 @@ pub use gmorph_tensor::checkpoint::{
     load_latest, CheckpointManager, CheckpointOptions, CrashKind,
 };
 
-/// Payload kind of sequential-search snapshots.
+/// Payload kind of search snapshots.
 pub const SEARCH_KIND: &str = "search";
-/// Payload kind of batched-search snapshots.
-pub const BATCHED_KIND: &str = "batched";
-/// Schema version of both search snapshot payloads. v2 added quarantine
+/// Schema version of the search snapshot payload. v2 added quarantine
 /// entries to the filter section and failed/quarantined outcome counters.
 pub const SEARCH_SCHEMA: u32 = 2;
 
@@ -170,6 +168,9 @@ fn get_elite(r: &mut ByteReader) -> Result<Elite> {
     })
 }
 
+// The trace section stays binary rather than reusing
+// `TraceRecord::fields` and the JSON codec: JSON writes ±inf as `null`
+// (read back as NaN), which would break bit-exact resume.
 fn put_trace(w: &mut ByteWriter, trace: &[TraceRecord]) {
     w.put_u64(trace.len() as u64);
     for t in trace {
@@ -215,13 +216,13 @@ fn get_trace(r: &mut ByteReader) -> Result<Vec<TraceRecord>> {
 // Snapshots
 // ---------------------------------------------------------------------
 
-/// Shared per-loop state both drivers checkpoint: everything the next
-/// iteration's decisions depend on.
+/// Per-loop search state: everything the next round's decisions depend
+/// on.
 #[derive(Debug, Clone)]
 pub struct LoopState {
     /// Config + input-graph fingerprint the snapshot is valid for.
     pub fingerprint: u64,
-    /// First iteration (or round) the resumed run should execute.
+    /// First iteration the resumed run should execute.
     pub next_iter: usize,
     /// RNG stream position.
     pub rng: RngState,
@@ -333,7 +334,7 @@ impl LoopState {
     }
 }
 
-/// Complete snapshot of a sequential [`crate::driver::run_search`] run.
+/// Complete snapshot of a [`crate::driver::run_search`] run.
 #[derive(Debug, Clone)]
 pub struct SearchSnapshot {
     /// Shared loop state.
@@ -435,108 +436,19 @@ impl SearchSnapshot {
     }
 }
 
-/// Complete snapshot of a [`crate::batched::run_search_batched`] run.
-#[derive(Debug, Clone)]
-pub struct BatchedSnapshot {
-    /// Shared loop state (`next_iter` counts *rounds* here).
-    pub state: LoopState,
-    /// Best satisfying mini-scale graph so far.
-    pub best_mini: AbsGraph,
-    /// Best satisfying paper-scale graph so far.
-    pub best_paper: AbsGraph,
-    /// Best satisfying latency so far (ms).
-    pub best_latency: f64,
-    /// Per-round diagnostics so far: (round, evaluated, skipped,
-    /// best_latency_ms, virtual_hours).
-    pub rounds: Vec<(usize, usize, usize, f64, f64)>,
-}
-
-impl BatchedSnapshot {
-    /// Serializes the snapshot into an envelope.
-    pub fn encode(&self) -> Result<Envelope> {
-        let mut env = Envelope::new(BATCHED_KIND, SEARCH_SCHEMA);
-        self.state.encode_into(&mut env)?;
-
-        let mut w = ByteWriter::new();
-        w.put_str(&encode_graph_exact(&self.best_mini));
-        w.put_str(&encode_graph_exact(&self.best_paper));
-        w.put_f64(self.best_latency);
-        w.put_u32(self.rounds.len() as u32);
-        for &(round, evaluated, skipped, lat, vh) in &self.rounds {
-            w.put_u64(round as u64);
-            w.put_u64(evaluated as u64);
-            w.put_u64(skipped as u64);
-            w.put_f64(lat);
-            w.put_f64(vh);
-        }
-        env.push("best", w.into_bytes());
-        Ok(env)
-    }
-
-    /// Restores a snapshot from an envelope, checking the schema version.
-    pub fn decode(env: &Envelope) -> Result<BatchedSnapshot> {
-        if env.schema != SEARCH_SCHEMA {
-            return Err(TensorError::Io(format!(
-                "checkpoint corrupt: batched schema v{} unsupported (expected v{SEARCH_SCHEMA})",
-                env.schema
-            )));
-        }
-        let state = LoopState::decode_from(env)?;
-        let mut r = ByteReader::new(env.section("best")?);
-        let best_mini = decode_graph_exact(&r.get_str()?)?;
-        let best_paper = decode_graph_exact(&r.get_str()?)?;
-        let best_latency = r.get_f64()?;
-        let n = r.get_u32()? as usize;
-        let mut rounds = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rounds.push((
-                r.get_u64()? as usize,
-                r.get_u64()? as usize,
-                r.get_u64()? as usize,
-                r.get_f64()?,
-                r.get_f64()?,
-            ));
-        }
-        Ok(BatchedSnapshot {
-            state,
-            best_mini,
-            best_paper,
-            best_latency,
-            rounds,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Loading with corruption fallback
 // ---------------------------------------------------------------------
 
 /// Loads the newest valid [`SearchSnapshot`] whose fingerprint matches.
 ///
-/// A snapshot of the right kind whose schema or fingerprint mismatches is
-/// treated like corruption: logged, skipped, and the next-newest tried.
+/// A snapshot whose schema or fingerprint mismatches is treated like
+/// corruption: logged, skipped, and the next-newest tried.
 pub fn load_latest_search(dir: &Path, fingerprint: u64) -> Result<Option<SearchSnapshot>> {
-    load_matching(dir, SEARCH_KIND, fingerprint, SearchSnapshot::decode)
-}
-
-/// Loads the newest valid [`BatchedSnapshot`] whose fingerprint matches.
-pub fn load_latest_batched(dir: &Path, fingerprint: u64) -> Result<Option<BatchedSnapshot>> {
-    load_matching(dir, BATCHED_KIND, fingerprint, BatchedSnapshot::decode)
-}
-
-fn load_matching<T>(
-    dir: &Path,
-    kind: &str,
-    fingerprint: u64,
-    decode: impl Fn(&Envelope) -> Result<T>,
-) -> Result<Option<T>>
-where
-    T: HasFingerprint,
-{
-    for (iter, path) in snapshot_files(dir, kind) {
-        let snap = load(&path, kind).and_then(|env| decode(&env));
+    for (iter, path) in snapshot_files(dir, SEARCH_KIND) {
+        let snap = load(&path, SEARCH_KIND).and_then(|env| SearchSnapshot::decode(&env));
         match snap {
-            Ok(snap) if snap.fingerprint() == fingerprint => {
+            Ok(snap) if snap.state.fingerprint == fingerprint => {
                 gmorph_telemetry::counter!("checkpoint.load");
                 gmorph_telemetry::point!(
                     "checkpoint.loaded",
@@ -554,7 +466,7 @@ where
                     corruption = false,
                     error = format!(
                         "config fingerprint {:#018x} does not match this run's {fingerprint:#018x}",
-                        snap.fingerprint()
+                        snap.state.fingerprint
                     )
                     .as_str()
                 );
@@ -572,22 +484,6 @@ where
         }
     }
     Ok(None)
-}
-
-trait HasFingerprint {
-    fn fingerprint(&self) -> u64;
-}
-
-impl HasFingerprint for SearchSnapshot {
-    fn fingerprint(&self) -> u64 {
-        self.state.fingerprint
-    }
-}
-
-impl HasFingerprint for BatchedSnapshot {
-    fn fingerprint(&self) -> u64 {
-        self.state.fingerprint
-    }
 }
 
 #[cfg(test)]
@@ -727,7 +623,7 @@ mod tests {
         for iter in 1..=6 {
             let mut snap = sample_snapshot();
             snap.state.next_iter = iter + 1;
-            mgr.tick(iter, snap.encode().unwrap()).unwrap();
+            mgr.tick(iter..=iter, snap.encode().unwrap()).unwrap();
         }
         // Writes at 2, 4, 6; rotation keeps the newest 2.
         let found = snapshot_files(&dir, SEARCH_KIND);
@@ -739,13 +635,38 @@ mod tests {
     }
 
     #[test]
+    fn round_ticks_flush_when_any_iteration_is_due() {
+        let dir = tmp_dir("rounds");
+        let mut opts = CheckpointOptions::new(&dir);
+        opts.every = 6;
+        opts.keep = 4;
+        let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
+        for round in 0..4 {
+            let (first, last) = (4 * round + 1, 4 * round + 4);
+            mgr.tick(first..=last, sample_snapshot().encode().unwrap())
+                .unwrap();
+        }
+        // Rounds 5..=8 and 9..=12 cover iterations 6 and 12; each write is
+        // named after the round's last iteration. 13..=16 stays pending.
+        let iters: Vec<usize> = snapshot_files(&dir, SEARCH_KIND)
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(iters, vec![12, 8]);
+        drop(mgr);
+        assert_eq!(snapshot_files(&dir, SEARCH_KIND)[0].0, 16);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn drop_flushes_pending() {
         let dir = tmp_dir("dropflush");
         let mut opts = CheckpointOptions::new(&dir);
         opts.every = 100; // Never hits the schedule.
         {
             let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-            mgr.tick(3, sample_snapshot().encode().unwrap()).unwrap();
+            mgr.tick(3..=3, sample_snapshot().encode().unwrap())
+                .unwrap();
         } // Drop writes iteration 3.
         assert_eq!(snapshot_files(&dir, SEARCH_KIND).len(), 1);
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
@@ -759,10 +680,10 @@ mod tests {
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
         let mut a = sample_snapshot();
         a.state.next_iter = 2;
-        mgr.tick(1, a.encode().unwrap()).unwrap();
+        mgr.tick(1..=1, a.encode().unwrap()).unwrap();
         let mut b = sample_snapshot();
         b.state.next_iter = 3;
-        mgr.tick(2, b.encode().unwrap()).unwrap();
+        mgr.tick(2..=2, b.encode().unwrap()).unwrap();
         // Corrupt the newest in place.
         let newest = dir.join(format!("{SEARCH_KIND}-000002.gmck"));
         let mut bytes = std::fs::read(&newest).unwrap();
@@ -779,24 +700,10 @@ mod tests {
         let dir = tmp_dir("fpr");
         let opts = CheckpointOptions::new(&dir);
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-        mgr.tick(1, sample_snapshot().encode().unwrap()).unwrap();
+        mgr.tick(1..=1, sample_snapshot().encode().unwrap())
+            .unwrap();
         assert!(load_latest_search(&dir, 0xDEAD).unwrap().is_none());
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn crash_env_parsing() {
-        // No env poking from tests (parallel test runners share the
-        // process env); exercise the parser via a direct call path by
-        // checking maybe_crash is a no-op when unset.
-        let opts = CheckpointOptions::new(std::env::temp_dir());
-        opts.maybe_crash(5); // No crash configured: must return.
-        let mut with = opts.clone();
-        with.crash_after = Some((3, CrashKind::Panic));
-        with.maybe_crash(2); // Wrong iteration: must return.
-        let err = std::panic::catch_unwind(|| with.maybe_crash(3)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("simulated crash"), "{msg}");
     }
 }

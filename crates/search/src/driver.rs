@@ -5,7 +5,9 @@
 //! input-shareable node pairs and applies a graph mutation pass, (3)
 //! generates and evaluates the candidate (with predictive filtering), and
 //! (4) updates the elites and the best model when the accuracy target is
-//! met.
+//! met. Iterations run in rounds of `batch_size` (K): a round proposes
+//! its K candidates in order, evaluates them together, and folds the
+//! outcomes back in order, so K = 1 is the sequential loop.
 //!
 //! The driver tracks every candidate at two scales simultaneously: the
 //! *mini* graph (trainable) and the *paper* graph (analytic estimation),
@@ -27,6 +29,8 @@ use gmorph_perf::accuracy::FinetuneConfig;
 use gmorph_perf::estimator::{estimate_latency_ms, Backend};
 use gmorph_perf::filter::CapacityRuleFilter;
 use gmorph_perf::VirtualClock;
+use gmorph_telemetry::{Event, EventKind, Value};
+use gmorph_tensor::engine;
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, TensorError};
 use std::time::Instant;
@@ -43,8 +47,14 @@ pub enum Objective {
 /// Search configuration (the paper's "configuration file", §3).
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Total optimization rounds `N` (paper: 200).
+    /// Total optimization iterations `N` (paper: 200): one candidate
+    /// each, for every batch size.
     pub iterations: usize,
+    /// Candidates proposed and evaluated per round, K (§7's "sampling
+    /// multiple models in parallel"). K = 1 (the default) is the paper's
+    /// sequential Algorithm 1; K > 1 fine-tunes each round's candidates
+    /// concurrently on the engine pool.
+    pub batch_size: usize,
     /// Metric to optimize.
     pub objective: Objective,
     /// Sampling policy.
@@ -77,6 +87,7 @@ impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
             iterations: 24,
+            batch_size: 1,
             objective: Objective::Latency,
             policy: PolicyKind::SimulatedAnnealing,
             sa_alpha: 0.99,
@@ -166,6 +177,29 @@ pub struct TraceRecord {
     pub wall_seconds: f64,
 }
 
+impl TraceRecord {
+    /// The record's fields as named telemetry values: the one encoding
+    /// behind both the `search.iter` event and the `.trace.jsonl` line.
+    pub fn fields(&self) -> Vec<(String, Value)> {
+        let fields: [(&str, Value); 10] = [
+            ("iter", self.iter.into()),
+            ("status", self.status.as_str().into()),
+            ("from_elite", self.from_elite.into()),
+            ("drop", self.drop.into()),
+            ("met_target", self.met_target.into()),
+            ("candidate_latency_ms", self.candidate_latency_ms.into()),
+            ("best_latency_ms", self.best_latency_ms.into()),
+            ("epochs", self.epochs.into()),
+            ("virtual_hours", self.virtual_hours.into()),
+            ("wall_seconds", self.wall_seconds.into()),
+        ];
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect()
+    }
+}
+
 /// The best model found by a search.
 #[derive(Debug, Clone)]
 pub struct BestModel {
@@ -212,12 +246,6 @@ pub struct SearchResult {
     pub quarantined: usize,
 }
 
-struct Base<'a> {
-    mini: &'a AbsGraph,
-    paper: &'a AbsGraph,
-    weights: &'a WeightStore,
-}
-
 /// Runs Algorithm 1.
 ///
 /// `mini` and `paper` are the abstract graphs of the input multi-DNNs at
@@ -234,15 +262,52 @@ pub fn run_search(
     run_search_checkpointed(mini, paper, teacher_weights, mode, cfg, None)
 }
 
+/// One iteration's proposal, carried from the propose step to the fold.
+struct Proposal {
+    iter: usize,
+    /// Index of the elite that was mutated (`None`: the original graph).
+    elite: Option<usize>,
+    temperature: f32,
+    /// Node and `Rescale`-node counts of the mutated graph (-1 without one).
+    nodes: i64,
+    rescales: i64,
+    /// Paper-scale latency estimate (NaN when never estimated).
+    latency_ms: f64,
+    step: Step,
+}
+
+enum Step {
+    /// Settled before evaluation, with the `search.iter` reason.
+    Skip(CandidateStatus, &'static str),
+    /// Passed every screen; goes to the supervisor.
+    Evaluate(Box<Candidate>),
+}
+
+struct Candidate {
+    mini: AbsGraph,
+    paper: AbsGraph,
+    signature: String,
+    capacity: CapacityVector,
+}
+
 /// Runs Algorithm 1 with optional crash-safe checkpointing.
 ///
+/// Each round proposes `cfg.batch_size` (K) candidates, one iteration
+/// each, sequentially on the search RNG stream; evaluates the survivors
+/// under supervision; then folds the outcomes into the clock, policy,
+/// filters, elites, best model and trace in iteration order. K = 1 is the
+/// sequential search. K > 1 is §7's "sampling multiple models in
+/// parallel": the round's candidates fine-tune concurrently on the engine
+/// pool, each on its own RNG stream, so results do not depend on the
+/// thread count. `cfg.iterations` counts candidates for every K.
+///
 /// With `ckpt = Some(opts)` the loop snapshots its complete state after
-/// every iteration (written to disk every `opts.every` iterations and on
-/// drop/panic), and — when `opts.resume` is set — restores the newest
-/// valid snapshot whose config fingerprint matches before iterating.
-/// A resumed run replays the remaining iterations bit-exactly: every
-/// field of the final [`SearchResult`] except wall-clock seconds equals
-/// the uninterrupted run's.
+/// every round (written to disk when the round covers a multiple of
+/// `opts.every` iterations, and on drop/panic), and — when `opts.resume`
+/// is set — restores the newest valid snapshot whose config fingerprint
+/// matches before iterating. A resumed run replays the remaining rounds
+/// bit-exactly: every field of the final [`SearchResult`] except
+/// wall-clock seconds equals the uninterrupted run's.
 pub fn run_search_checkpointed(
     mini: &AbsGraph,
     paper: &AbsGraph,
@@ -261,6 +326,12 @@ pub fn run_search_checkpointed(
             ),
         });
     }
+    if cfg.batch_size == 0 {
+        return Err(TensorError::InvalidArgument {
+            op: "run_search",
+            msg: "batch_size must be nonzero".to_string(),
+        });
+    }
     let wall_start = Instant::now();
     let mut rng = Rng::new(cfg.seed ^ 0x5EA_4C4);
     let mut policy = SimulatedAnnealing::new();
@@ -274,6 +345,7 @@ pub fn run_search_checkpointed(
     let _run_span = gmorph_telemetry::span!(
         "search.run",
         iterations = cfg.iterations,
+        batch_size = cfg.batch_size,
         seed = cfg.seed,
         objective = match cfg.objective {
             Objective::Latency => "latency",
@@ -283,6 +355,7 @@ pub fn run_search_checkpointed(
     gmorph_telemetry::meta!(
         "search.run_meta",
         iterations = cfg.iterations,
+        batch_size = cfg.batch_size,
         seed = cfg.seed,
         rule_filter = cfg.rule_filter,
         early_termination = cfg.finetune.early_termination,
@@ -347,354 +420,315 @@ pub fn run_search_checkpointed(
     }
     let mut manager = ckpt.map(|opts| CheckpointManager::new(opts, SEARCH_KIND));
 
-    for iter in start_iter..=cfg.iterations {
-        // The labeled block gives every early-exit path (no mutation,
-        // duplicate, rule-filtered) a single common continuation: the
-        // per-iteration checkpoint tick below.
-        'body: {
-        // Step 1: sample the base graph (original or elite).
-        let use_elite = match cfg.policy {
-            PolicyKind::SimulatedAnnealing => {
-                policy.sample_from_elites(iter, history.elite_count(), &mut rng)
-            }
-            PolicyKind::RandomSampling => false,
-        };
-        let elite_pick = if use_elite && history.elite_count() > 0 {
-            Some(rng.below(history.elite_count()))
-        } else {
-            None
-        };
-        // Clone the elite out so `history` stays mutably borrowable below;
-        // elite graphs are small (tens of nodes) and surrogate weight
-        // stores hold empty tensors, so this is cheap.
-        let elite_base = elite_pick.map(|i| {
-            let e = &history.elites()[i];
-            (e.mini.clone(), e.paper.clone(), e.weights.clone())
-        });
-        let base = match &elite_base {
-            Some((m, p, w)) => Base {
-                mini: m,
-                paper: p,
-                weights: w,
-            },
-            None => Base {
-                mini,
-                paper,
-                weights: teacher_weights,
-            },
-        };
+    let k = cfg.batch_size;
+    for first in (start_iter..=cfg.iterations).step_by(k) {
+        let last = (first + k - 1).min(cfg.iterations);
 
-        // Step 2: sample pairs and run the mutation pass on both scales.
-        let candidate = propose_candidate(
-            base.mini,
-            base.paper,
-            cfg.pair_policy,
-            cfg.max_ops_per_pass,
-            &mut rng,
-        )?;
-        let temperature = policy.temperature(iter);
-        let (cand_mini, cand_paper) = match candidate {
-            Some(c) => c,
-            None => {
-                trace.push(record(
-                    iter,
-                    CandidateStatus::NoMutation,
-                    elite_pick.is_some(),
-                    f32::NAN,
-                    false,
-                    f64::NAN,
-                    &best,
-                    0,
-                    &clock,
-                    wall_start,
-                    wall_offset,
-                ));
-                gmorph_telemetry::counter!("search.no_mutation");
-                emit_iter(trace.last().unwrap(), temperature, "no_mutation", -1, -1);
-                break 'body;
-            }
-        };
-        let cand_nodes = cand_mini.len() as i64;
-        let cand_rescales = cand_mini
-            .iter()
-            .filter(|(_, n)| matches!(n.spec, gmorph_nn::BlockSpec::Rescale { .. }))
-            .count() as i64;
-        // Deduplicate by structural signature *before* any evaluation
-        // work: a previously seen candidate skips even the latency
-        // estimate, not just the fine-tuning.
-        let signature = cand_mini.signature();
-        if history.seen(&signature) {
-            duplicates += 1;
-            clock.charge_overhead(1.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::Duplicate,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                f64::NAN,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.duplicates");
-            gmorph_telemetry::counter!("search.dedup_hit");
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                "duplicate",
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
-        }
-        history.record_evaluated(signature.clone());
-
-        let cand_latency = estimate_latency_ms(&cand_paper, Backend::Eager)?;
-        let cand_objective = match cfg.objective {
-            Objective::Latency => cand_latency,
-            Objective::Flops => cand_paper.flops()? as f64,
-        };
-
-        // Quarantine check: always on (independent of `rule_filter`),
-        // because quarantine entries record *evaluation failures* — a
-        // candidate matching one would fail the same way again. The §5.1
-        // dominance rule applies: an equal or more aggressive merge of a
-        // quarantined capacity is skipped too.
-        let capacity = CapacityVector::of(&cand_mini)?;
-        if let Some(verdict) = rule_filter.quarantine_verdict(&signature, &capacity) {
-            quarantined += 1;
-            clock.charge_overhead(2.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::Quarantined,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                cand_latency,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.quarantine_skipped");
-            gmorph_telemetry::counter!("filter.rule.quarantined");
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                verdict.as_str(),
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
-        }
-
-        // Rule-based filtering (§5.1) before any fine-tuning.
-        let filter_verdict = if cfg.rule_filter {
-            rule_filter.verdict(&capacity)
-        } else {
-            None
-        };
-        if let Some(verdict) = filter_verdict {
-            rule_filtered += 1;
-            clock.charge_overhead(2.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::RuleFiltered,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                cand_latency,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.rule_filtered");
-            if gmorph_telemetry::enabled() {
-                gmorph_telemetry::counter!(&format!("filter.rule.{}", verdict.as_str()));
-            }
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                verdict.as_str(),
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
-        }
-
-        // Step 3: evaluate (fine-tune) the candidate, supervised. A
-        // failing candidate is retried (transient kinds only), then
-        // classified, quarantined, and scored as a rejected SA step —
-        // never an aborted run.
-        let noise_salt = cfg.seed.wrapping_mul(1_000_003) ^ iter as u64;
-        let clock_before = clock.seconds();
-        let outcome = supervisor::evaluate_supervised(
-            mode,
-            &cand_mini,
-            base.weights,
-            &cfg.finetune,
-            &cfg.supervisor,
-            cfg.seed,
-            iter,
-            &mut rng,
-            noise_salt,
-        );
-        // Charge the virtual clock, then apply the deterministic
-        // virtual-clock deadline: a candidate whose fine-tuning cost blew
-        // the per-candidate budget is a timeout even if it converged.
-        let outcome = match outcome {
-            Ok(evaluation) => {
-                let paper_flops = cand_paper.flops()?;
-                clock.charge_finetune(paper_flops, evaluation.result.epochs_run);
-                clock.charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
-                let spent_hours = (clock.seconds() - clock_before) / 3600.0;
-                match cfg.supervisor.virtual_deadline_hours {
-                    Some(limit) if spent_hours > limit => Err(FailureReport {
-                        kind: gmorph_tensor::FailureKind::Timeout,
-                        attempts: 1,
-                        message: format!(
-                            "virtual cost {spent_hours:.3}h exceeds the \
-                             {limit:.3}h per-candidate budget"
-                        ),
-                    }),
-                    _ => Ok(evaluation),
+        // Steps 1-2 for each iteration of the round, in order: sample the
+        // base graph (original or elite), mutate it at both scales, and
+        // screen the candidate before any evaluation work. Only the search
+        // stream and the dedup set change here.
+        let mut round = Vec::with_capacity(last + 1 - first);
+        for iter in first..=last {
+            let use_elite = match cfg.policy {
+                PolicyKind::SimulatedAnnealing => {
+                    policy.sample_from_elites(iter, history.elite_count(), &mut rng)
                 }
-            }
-            Err(report) => {
-                // Failed attempts still consumed search time.
-                clock.charge_overhead(2.0 * report.attempts as f64);
-                Err(report)
-            }
-        };
-        let evaluation = match outcome {
-            Ok(evaluation) => evaluation,
-            Err(report) => {
-                failed += 1;
-                rule_filter.record_quarantine(signature.clone(), capacity.clone());
-                // A failed candidate reads as maximally bad to the SA
-                // policy: elites stay preferable and the temperature
-                // schedule sees a rejection, not a hole.
-                policy.observe_drop(1.0);
-                gmorph_telemetry::counter!("search.failed");
-                gmorph_telemetry::counter!("eval.quarantine");
-                gmorph_telemetry::point!(
-                    "eval.quarantine",
-                    iter = iter,
-                    kind = report.kind.as_str(),
-                    attempts = report.attempts,
-                    signature = signature.as_str(),
-                    error = report.message.as_str()
-                );
-                trace.push(record(
-                    iter,
-                    CandidateStatus::Failed,
-                    elite_pick.is_some(),
-                    f32::NAN,
-                    false,
-                    cand_latency,
-                    &best,
-                    0,
-                    &clock,
-                    wall_start,
-                    wall_offset,
-                ));
-                emit_iter(
-                    trace.last().unwrap(),
-                    temperature,
-                    report.kind.as_str(),
-                    cand_nodes,
-                    cand_rescales,
-                );
-                break 'body;
-            }
-        };
-        evaluated += 1;
-        policy.observe_drop(evaluation.result.final_drop.max(0.0));
-        if evaluation.result.terminated_early {
-            early_terminated += 1;
-        }
-
-        // Step 4: elites and best model.
-        let met = evaluation.result.met_target;
-        let mut reason = "rejected_drop";
-        if met {
-            let best_objective = match cfg.objective {
-                Objective::Latency => best.latency_ms,
-                Objective::Flops => best.paper.flops()? as f64,
+                PolicyKind::RandomSampling => false,
             };
-            if cand_objective < best_objective {
-                best = BestModel {
-                    mini: cand_mini.clone(),
-                    paper: cand_paper.clone(),
-                    weights: evaluation.weights.clone(),
-                    latency_ms: cand_latency,
-                    drop: evaluation.result.final_drop,
-                    scores: evaluation.result.final_scores.clone(),
+            let elite =
+                (use_elite && history.elite_count() > 0).then(|| rng.below(history.elite_count()));
+            let (base_mini, base_paper) = match elite {
+                Some(i) => (&history.elites()[i].mini, &history.elites()[i].paper),
+                None => (mini, paper),
+            };
+            let candidate = propose_candidate(
+                base_mini,
+                base_paper,
+                cfg.pair_policy,
+                cfg.max_ops_per_pass,
+                &mut rng,
+            )?;
+            let mut p = Proposal {
+                iter,
+                elite,
+                temperature: policy.temperature(iter),
+                nodes: -1,
+                rescales: -1,
+                latency_ms: f64::NAN,
+                step: Step::Skip(CandidateStatus::NoMutation, "no_mutation"),
+            };
+            if let Some((cand_mini, cand_paper)) = candidate {
+                p.nodes = cand_mini.len() as i64;
+                p.rescales = cand_mini
+                    .iter()
+                    .filter(|(_, n)| matches!(n.spec, gmorph_nn::BlockSpec::Rescale { .. }))
+                    .count() as i64;
+                p.step = 'screen: {
+                    // Deduplicate by structural signature first: a
+                    // previously seen candidate skips even the latency
+                    // estimate, not just the fine-tuning.
+                    let signature = cand_mini.signature();
+                    if history.seen(&signature) {
+                        break 'screen Step::Skip(CandidateStatus::Duplicate, "duplicate");
+                    }
+                    history.record_evaluated(signature.clone());
+                    p.latency_ms = estimate_latency_ms(&cand_paper, Backend::Eager)?;
+                    // Quarantine is always on (independent of
+                    // `rule_filter`): its entries record *evaluation
+                    // failures*, and a match would fail the same way
+                    // again. The §5.1 dominance rule applies, so an equal
+                    // or more aggressive merge is skipped too.
+                    let capacity = CapacityVector::of(&cand_mini)?;
+                    if let Some(v) = rule_filter.quarantine_verdict(&signature, &capacity) {
+                        break 'screen Step::Skip(CandidateStatus::Quarantined, v.as_str());
+                    }
+                    // Rule-based filtering (§5.1) before any fine-tuning.
+                    let verdict = if cfg.rule_filter {
+                        rule_filter.verdict(&capacity)
+                    } else {
+                        None
+                    };
+                    if let Some(v) = verdict {
+                        break 'screen Step::Skip(CandidateStatus::RuleFiltered, v.as_str());
+                    }
+                    Step::Evaluate(Box::new(Candidate {
+                        mini: cand_mini,
+                        paper: cand_paper,
+                        signature,
+                        capacity,
+                    }))
                 };
-                reason = "accepted_best";
-                gmorph_telemetry::counter!("search.best_improved");
-            } else {
-                reason = "accepted_elite";
             }
-            history.add_elite(Elite {
-                mini: cand_mini,
-                paper: cand_paper,
-                weights: evaluation.weights,
-                drop: evaluation.result.final_drop,
-                latency_ms: cand_latency,
-                scores: evaluation.result.final_scores.clone(),
-            });
-            gmorph_telemetry::counter!("search.accepted");
-        } else {
-            if cfg.rule_filter {
-                rule_filter.record_failure(capacity);
-            }
-            gmorph_telemetry::counter!("search.rejected");
+            round.push(p);
         }
-        let status = if evaluation.result.terminated_early {
-            CandidateStatus::TerminatedEarly
-        } else {
-            CandidateStatus::Evaluated
-        };
-        gmorph_telemetry::counter!("search.evaluated");
-        if evaluation.result.terminated_early {
-            gmorph_telemetry::counter!("search.early_terminated");
-        }
-        trace.push(record(
-            iter,
-            status,
-            elite_pick.is_some(),
-            evaluation.result.final_drop,
-            met,
-            cand_latency,
-            &best,
-            evaluation.result.epochs_run,
-            &clock,
-            wall_start,
-            wall_offset,
-        ));
-        emit_iter(
-            trace.last().unwrap(),
-            temperature,
-            reason,
-            cand_nodes,
-            cand_rescales,
-        );
-        } // 'body
 
-        // Snapshot the completed iteration; the manager decides whether
-        // this one hits the disk now or stays pending (flushed on drop).
+        // Step 3: evaluate (fine-tune) the survivors, supervised. With
+        // K = 1 the candidate draws from the search stream, which makes
+        // K = 1 the sequential search; with K > 1 each candidate draws
+        // from its own stream keyed by (seed, iter), so the round runs on
+        // the engine pool at any thread count with the same results.
+        let pending: Vec<(usize, &AbsGraph, &WeightStore)> = round
+            .iter()
+            .filter_map(|p| match &p.step {
+                Step::Evaluate(c) => Some((
+                    p.iter,
+                    &c.mini,
+                    p.elite
+                        .map_or(teacher_weights, |i| &history.elites()[i].weights),
+                )),
+                Step::Skip(..) => None,
+            })
+            .collect();
+        let evaluate = |(iter, cand, weights): (usize, &AbsGraph, &WeightStore), rng: &mut Rng| {
+            supervisor::evaluate_supervised(
+                mode,
+                cand,
+                weights,
+                &cfg.finetune,
+                &cfg.supervisor,
+                cfg.seed,
+                iter,
+                rng,
+                cfg.seed.wrapping_mul(1_000_003) ^ iter as u64,
+            )
+        };
+        let outcomes = if k == 1 {
+            pending.iter().map(|&c| evaluate(c, &mut rng)).collect()
+        } else {
+            engine::parallel_map(pending.len(), |j| {
+                let mut own = Rng::new(supervisor::candidate_seed(cfg.seed, pending[j].0));
+                evaluate(pending[j], &mut own)
+            })
+        };
+        let mut outcomes = outcomes.into_iter();
+
+        // Step 4, in iteration order: charge the clock, contain failures,
+        // update the policy, filters, elites and best model, and record.
+        for p in round {
+            let (status, reason, drop, met, epochs) = match p.step {
+                Step::Skip(status, reason) => {
+                    let overhead = match status {
+                        CandidateStatus::Duplicate => {
+                            duplicates += 1;
+                            gmorph_telemetry::counter!("search.duplicates");
+                            gmorph_telemetry::counter!("search.dedup_hit");
+                            1.0
+                        }
+                        CandidateStatus::Quarantined => {
+                            quarantined += 1;
+                            gmorph_telemetry::counter!("search.quarantine_skipped");
+                            gmorph_telemetry::counter!("filter.rule.quarantined");
+                            2.0
+                        }
+                        CandidateStatus::RuleFiltered => {
+                            rule_filtered += 1;
+                            gmorph_telemetry::counter!("search.rule_filtered");
+                            if gmorph_telemetry::enabled() {
+                                gmorph_telemetry::counter!(&format!("filter.rule.{reason}"));
+                            }
+                            2.0
+                        }
+                        _ => {
+                            gmorph_telemetry::counter!("search.no_mutation");
+                            0.0
+                        }
+                    };
+                    clock.charge_overhead(overhead);
+                    (status, reason, f32::NAN, false, 0)
+                }
+                Step::Evaluate(c) => 'fold: {
+                    let Candidate {
+                        mini: cand_mini,
+                        paper: cand_paper,
+                        signature,
+                        capacity,
+                    } = *c;
+                    let outcome = outcomes
+                        .next()
+                        .expect("one outcome per evaluated candidate");
+                    // Charge the virtual clock, then apply the
+                    // deterministic virtual-clock deadline: a candidate
+                    // whose fine-tuning cost blew the per-candidate budget
+                    // is a timeout even if it converged.
+                    let clock_before = clock.seconds();
+                    let outcome = match outcome {
+                        Ok(evaluation) => {
+                            let paper_flops = cand_paper.flops()?;
+                            clock.charge_finetune(paper_flops, evaluation.result.epochs_run);
+                            clock.charge_eval(
+                                paper_flops * evaluation.result.records.len().max(1) as u64,
+                            );
+                            let spent_hours = (clock.seconds() - clock_before) / 3600.0;
+                            match cfg.supervisor.virtual_deadline_hours {
+                                Some(limit) if spent_hours > limit => Err(FailureReport {
+                                    kind: gmorph_tensor::FailureKind::Timeout,
+                                    attempts: 1,
+                                    message: format!(
+                                        "virtual cost {spent_hours:.3}h exceeds the \
+                                         {limit:.3}h per-candidate budget"
+                                    ),
+                                }),
+                                _ => Ok(evaluation),
+                            }
+                        }
+                        Err(report) => {
+                            // Failed attempts still consumed search time.
+                            clock.charge_overhead(2.0 * report.attempts as f64);
+                            Err(report)
+                        }
+                    };
+                    // A failing candidate was retried (transient kinds
+                    // only); now it is classified, quarantined, and scored
+                    // as a rejected SA step — never an aborted run.
+                    let evaluation = match outcome {
+                        Ok(evaluation) => evaluation,
+                        Err(report) => {
+                            failed += 1;
+                            gmorph_telemetry::counter!("search.failed");
+                            gmorph_telemetry::counter!("eval.quarantine");
+                            gmorph_telemetry::point!(
+                                "eval.quarantine",
+                                iter = p.iter,
+                                kind = report.kind.as_str(),
+                                attempts = report.attempts,
+                                signature = signature.as_str(),
+                                error = report.message.as_str()
+                            );
+                            rule_filter.record_quarantine(signature, capacity);
+                            // A failed candidate reads as maximally bad to
+                            // the SA policy: elites stay preferable and the
+                            // temperature schedule sees a rejection, not a
+                            // hole.
+                            policy.observe_drop(1.0);
+                            break 'fold (
+                                CandidateStatus::Failed,
+                                report.kind.as_str(),
+                                f32::NAN,
+                                false,
+                                0,
+                            );
+                        }
+                    };
+                    let result = evaluation.result;
+                    evaluated += 1;
+                    policy.observe_drop(result.final_drop.max(0.0));
+                    gmorph_telemetry::counter!("search.evaluated");
+                    let status = if result.terminated_early {
+                        early_terminated += 1;
+                        gmorph_telemetry::counter!("search.early_terminated");
+                        CandidateStatus::TerminatedEarly
+                    } else {
+                        CandidateStatus::Evaluated
+                    };
+                    if !result.met_target {
+                        if cfg.rule_filter {
+                            rule_filter.record_failure(capacity);
+                        }
+                        gmorph_telemetry::counter!("search.rejected");
+                        let drop = result.final_drop;
+                        break 'fold (status, "rejected_drop", drop, false, result.epochs_run);
+                    }
+                    let (objective, best_objective) = match cfg.objective {
+                        Objective::Latency => (p.latency_ms, best.latency_ms),
+                        Objective::Flops => {
+                            (cand_paper.flops()? as f64, best.paper.flops()? as f64)
+                        }
+                    };
+                    let reason = if objective < best_objective {
+                        best = BestModel {
+                            mini: cand_mini.clone(),
+                            paper: cand_paper.clone(),
+                            weights: evaluation.weights.clone(),
+                            latency_ms: p.latency_ms,
+                            drop: result.final_drop,
+                            scores: result.final_scores.clone(),
+                        };
+                        gmorph_telemetry::counter!("search.best_improved");
+                        "accepted_best"
+                    } else {
+                        "accepted_elite"
+                    };
+                    history.add_elite(Elite {
+                        mini: cand_mini,
+                        paper: cand_paper,
+                        weights: evaluation.weights,
+                        drop: result.final_drop,
+                        latency_ms: p.latency_ms,
+                        scores: result.final_scores,
+                    });
+                    gmorph_telemetry::counter!("search.accepted");
+                    (status, reason, result.final_drop, true, result.epochs_run)
+                }
+            };
+            trace.push(TraceRecord {
+                iter: p.iter,
+                status,
+                from_elite: p.elite.is_some(),
+                drop,
+                met_target: met,
+                candidate_latency_ms: p.latency_ms,
+                best_latency_ms: best.latency_ms,
+                epochs,
+                virtual_hours: clock.hours(),
+                wall_seconds: wall_offset + wall_start.elapsed().as_secs_f64(),
+            });
+            emit_iter(
+                trace.last().unwrap(),
+                p.temperature,
+                reason,
+                p.nodes,
+                p.rescales,
+            );
+        }
+
+        // Snapshot the completed round; the manager decides whether it
+        // hits the disk now or stays pending (flushed on drop).
         if let Some(mgr) = manager.as_mut() {
             let snapshot = SearchSnapshot {
                 state: LoopState {
                     fingerprint,
-                    next_iter: iter + 1,
+                    next_iter: last + 1,
                     rng: rng.state(),
                     last_drop: policy.last_drop(),
                     clock_seconds: clock.seconds(),
@@ -717,10 +751,10 @@ pub fn run_search_checkpointed(
                 quarantined_count: quarantined,
                 trace: trace.clone(),
             };
-            mgr.tick(iter, snapshot.encode()?)?;
+            mgr.tick(first..=last, snapshot.encode()?)?;
         }
         if let Some(opts) = ckpt {
-            opts.maybe_crash(iter);
+            (first..=last).for_each(|iter| opts.maybe_crash(iter));
         }
     }
 
@@ -798,58 +832,25 @@ pub fn propose_candidate(
     Ok(None)
 }
 
-/// Emits the per-iteration `search.iter` telemetry event mirroring the
-/// trace record just pushed. `reason` explains the outcome
+/// Emits the per-iteration `search.iter` telemetry event: the trace
+/// record's fields plus `reason`, which explains the outcome
 /// (`accepted_best`, `accepted_elite`, `rejected_drop`, `duplicate`,
-/// `exact`/`more_aggressive` for filter verdicts, `no_mutation`);
-/// `cand_nodes`/`rescales` characterize the mutated graph (-1 when no
-/// candidate was produced).
+/// `exact`/`more_aggressive` for filter verdicts, a failure kind,
+/// `no_mutation`), the SA `temperature`, and `cand_nodes`/`rescales`,
+/// which characterize the mutated graph (-1 when none was produced).
 fn emit_iter(rec: &TraceRecord, temperature: f32, reason: &str, cand_nodes: i64, rescales: i64) {
     gmorph_telemetry::counter!("search.iterations");
-    gmorph_telemetry::point!(
-        "search.iter",
-        iter = rec.iter,
-        status = rec.status.as_str(),
-        reason = reason,
-        from_elite = rec.from_elite,
-        drop = rec.drop,
-        met_target = rec.met_target,
-        candidate_latency_ms = rec.candidate_latency_ms,
-        best_latency_ms = rec.best_latency_ms,
-        epochs = rec.epochs,
-        virtual_hours = rec.virtual_hours,
-        temperature = temperature,
-        cand_nodes = cand_nodes,
-        rescales = rescales
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record(
-    iter: usize,
-    status: CandidateStatus,
-    from_elite: bool,
-    drop: f32,
-    met: bool,
-    cand_latency: f64,
-    best: &BestModel,
-    epochs: usize,
-    clock: &VirtualClock,
-    wall_start: Instant,
-    wall_offset: f64,
-) -> TraceRecord {
-    TraceRecord {
-        iter,
-        status,
-        from_elite,
-        drop,
-        met_target: met,
-        candidate_latency_ms: cand_latency,
-        best_latency_ms: best.latency_ms,
-        epochs,
-        virtual_hours: clock.hours(),
-        wall_seconds: wall_offset + wall_start.elapsed().as_secs_f64(),
+    if !gmorph_telemetry::enabled() {
+        return;
     }
+    let mut fields = rec.fields();
+    fields.extend([
+        ("reason".to_string(), reason.into()),
+        ("temperature".to_string(), temperature.into()),
+        ("cand_nodes".to_string(), cand_nodes.into()),
+        ("rescales".to_string(), rescales.into()),
+    ]);
+    gmorph_telemetry::emit(Event::new(EventKind::Point, "search.iter").with_fields(fields));
 }
 
 #[cfg(test)]
@@ -1024,90 +1025,153 @@ mod tests {
     #[test]
     fn trace_statuses_are_consistent_with_counters() {
         let (mini, paper, weights, mode) = setup();
-        let mut cfg = quick_cfg(40);
-        cfg.rule_filter = true;
-        cfg.finetune.target_drop = 0.0;
-        cfg.finetune.early_termination = true;
-        let res = run_search(&mini, &paper, &weights, &mode, &cfg).unwrap();
-        let count = |st: CandidateStatus| {
-            res.trace.iter().filter(|r| r.status == st).count()
-        };
-        assert_eq!(count(CandidateStatus::RuleFiltered), res.rule_filtered);
-        assert_eq!(count(CandidateStatus::Duplicate), res.duplicates);
-        assert_eq!(count(CandidateStatus::TerminatedEarly), res.early_terminated);
-        assert_eq!(
-            count(CandidateStatus::Evaluated) + res.early_terminated,
-            res.evaluated
-        );
+        for batch_size in [1, 4] {
+            let mut cfg = quick_cfg(40);
+            cfg.batch_size = batch_size;
+            cfg.rule_filter = true;
+            cfg.finetune.target_drop = 0.0;
+            cfg.finetune.early_termination = true;
+            let res = run_search(&mini, &paper, &weights, &mode, &cfg).unwrap();
+            let count = |st: CandidateStatus| res.trace.iter().filter(|r| r.status == st).count();
+            assert_eq!(res.trace.len(), cfg.iterations, "K={batch_size}");
+            let iters: Vec<usize> = res.trace.iter().map(|r| r.iter).collect();
+            assert_eq!(
+                iters,
+                (1..=cfg.iterations).collect::<Vec<_>>(),
+                "K={batch_size}"
+            );
+            assert_eq!(
+                count(CandidateStatus::RuleFiltered),
+                res.rule_filtered,
+                "K={batch_size}"
+            );
+            assert_eq!(
+                count(CandidateStatus::Duplicate),
+                res.duplicates,
+                "K={batch_size}"
+            );
+            assert_eq!(
+                count(CandidateStatus::TerminatedEarly),
+                res.early_terminated,
+                "K={batch_size}"
+            );
+            assert_eq!(
+                count(CandidateStatus::Evaluated) + res.early_terminated,
+                res.evaluated,
+                "K={batch_size}"
+            );
+            assert!(res.rule_filtered > 0, "K={batch_size}: filter never fired");
+        }
     }
 
     #[test]
     fn telemetry_events_reconstruct_search_counts() {
         let (mini, paper, weights, mode) = setup();
-        let mut cfg = quick_cfg(40);
-        cfg.rule_filter = true;
-        cfg.finetune.target_drop = 0.0;
-        cfg.finetune.early_termination = true;
+        for batch_size in [1, 4] {
+            let mut cfg = quick_cfg(40);
+            cfg.batch_size = batch_size;
+            cfg.rule_filter = true;
+            cfg.finetune.target_drop = 0.0;
+            cfg.finetune.early_termination = true;
 
-        let guard = gmorph_telemetry::sink::install_test_sink();
-        let res = run_search(&mini, &paper, &weights, &mode, &cfg).unwrap();
-        let events = guard.events();
-        drop(guard);
+            let guard = gmorph_telemetry::sink::install_test_sink();
+            let res = run_search(&mini, &paper, &weights, &mode, &cfg).unwrap();
+            let events = guard.events();
+            drop(guard);
 
-        // Other tests in this binary run concurrently and may emit their
-        // own events while the sink is installed; keep only this thread's.
-        let here = gmorph_telemetry::span::thread_id();
-        let iters: Vec<_> = events
-            .iter()
-            .filter(|e| e.thread == here && e.name == "search.iter")
-            .collect();
-        assert_eq!(iters.len(), cfg.iterations);
-        assert_eq!(iters.len(), res.trace.len());
-
-        let by_status = |s: &str| {
-            iters
+            // Other tests in this binary run concurrently and may emit
+            // their own events while the sink is installed; keep only this
+            // thread's. (`search.iter` is emitted by the fold, on the
+            // thread running the search, for every batch size.)
+            let here = gmorph_telemetry::span::thread_id();
+            let iters: Vec<_> = events
                 .iter()
-                .filter(|e| e.field("status").and_then(|v| v.as_str()) == Some(s))
-                .count()
-        };
-        assert_eq!(by_status("rule_filtered"), res.rule_filtered);
-        assert_eq!(by_status("duplicate"), res.duplicates);
-        assert_eq!(by_status("terminated_early"), res.early_terminated);
-        assert_eq!(
-            by_status("evaluated") + res.early_terminated,
-            res.evaluated
-        );
+                .filter(|e| e.thread == here && e.name == "search.iter")
+                .collect();
+            assert_eq!(iters.len(), cfg.iterations, "K={batch_size}");
+            assert_eq!(iters.len(), res.trace.len(), "K={batch_size}");
 
-        // Events mirror the trace record-for-record.
-        for (e, r) in iters.iter().zip(res.trace.iter()) {
+            let by_status = |s: &str| {
+                iters
+                    .iter()
+                    .filter(|e| e.field("status").and_then(|v| v.as_str()) == Some(s))
+                    .count()
+            };
             assert_eq!(
-                e.field("iter").and_then(|v| v.as_f64()),
-                Some(r.iter as f64)
+                by_status("rule_filtered"),
+                res.rule_filtered,
+                "K={batch_size}"
+            );
+            assert_eq!(by_status("duplicate"), res.duplicates, "K={batch_size}");
+            assert_eq!(
+                by_status("terminated_early"),
+                res.early_terminated,
+                "K={batch_size}"
             );
             assert_eq!(
-                e.field("status").and_then(|v| v.as_str()),
-                Some(r.status.as_str())
+                by_status("evaluated") + res.early_terminated,
+                res.evaluated,
+                "K={batch_size}"
             );
-            let best = e.field("best_latency_ms").and_then(|v| v.as_f64()).unwrap();
-            assert_eq!(best, r.best_latency_ms);
+
+            // Events mirror the trace record-for-record, every field of
+            // the shared encoding included.
+            for (e, r) in iters.iter().zip(res.trace.iter()) {
+                for (name, value) in r.fields() {
+                    let got = e
+                        .field(&name)
+                        .unwrap_or_else(|| panic!("event lacks {name}"));
+                    match (got.as_f64(), value.as_f64()) {
+                        (Some(a), Some(b)) if a.is_nan() && b.is_nan() => {}
+                        (Some(a), Some(b)) => assert_eq!(a, b, "K={batch_size}: {name}"),
+                        _ => assert_eq!(got, &value, "K={batch_size}: {name}"),
+                    }
+                }
+            }
+            // The final best latency is reconstructible from the stream.
+            let last_best = iters
+                .last()
+                .and_then(|e| e.field("best_latency_ms"))
+                .and_then(|v| v.as_f64())
+                .unwrap();
+            assert_eq!(last_best, res.best.latency_ms, "K={batch_size}");
+
+            // The run meta event carries the clock assumptions and K.
+            let meta = events
+                .iter()
+                .find(|e| e.thread == here && e.name == "search.run_meta")
+                .expect("run meta event");
+            assert_eq!(
+                meta.field("virtual_throughput").and_then(|v| v.as_f64()),
+                Some(gmorph_perf::clock::DEFAULT_THROUGHPUT)
+            );
+            assert_eq!(
+                meta.field("batch_size").and_then(|v| v.as_f64()),
+                Some(batch_size as f64)
+            );
         }
-        // The final best latency is reconstructible from the stream.
-        let last_best = iters
-            .last()
-            .and_then(|e| e.field("best_latency_ms"))
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert_eq!(last_best, res.best.latency_ms);
+    }
 
-        // The run meta event carries the clock assumptions.
-        let meta = events
-            .iter()
-            .find(|e| e.thread == here && e.name == "search.run_meta")
-            .expect("run meta event");
-        assert_eq!(
-            meta.field("virtual_throughput").and_then(|v| v.as_f64()),
-            Some(gmorph_perf::clock::DEFAULT_THROUGHPUT)
-        );
+    #[test]
+    fn propose_candidate_finds_some_mutation() {
+        let (mini, paper, _, _) = setup();
+        let mut rng = Rng::new(0);
+        let (cand_mini, cand_paper) =
+            propose_candidate(&mini, &paper, PairPolicy::SimilarShape, 2, &mut rng)
+                .unwrap()
+                .expect("a two-VGG graph has legal mutations");
+        cand_mini.validate().unwrap();
+        cand_paper.validate().unwrap();
+        assert_ne!(cand_mini.signature(), mini.signature());
+        assert_eq!(cand_mini.len(), cand_paper.len());
+    }
+
+    #[test]
+    fn zero_batch_size_rejected() {
+        let (mini, paper, weights, mode) = setup();
+        let mut cfg = quick_cfg(4);
+        cfg.batch_size = 0;
+        assert!(run_search(&mini, &paper, &weights, &mode, &cfg).is_err());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!   fine-tuning of the mini-scale model) or `Surrogate` (calibrated
 //!   analytic model; see DESIGN.md §1),
 //! - [`driver`]: Algorithm 1 — the graph mutation optimization loop with
-//!   predictive filtering and dual-scale (mini + paper) graph tracking,
-//! - [`parallel`]: batch candidate evaluation on worker threads (§7's
-//!   "sampling multiple models in parallel" extension),
+//!   predictive filtering and dual-scale (mini + paper) graph tracking, in
+//!   rounds of K candidates evaluated concurrently on the kernel engine
+//!   pool (§7's "sampling multiple models in parallel"; K = 1 is the
+//!   sequential loop),
+//! - [`batched`]: `run_search_batched`, the driver at batch size K with
+//!   its trace grouped into rounds,
 //! - [`supervisor`]: resilient candidate evaluation — catch-unwind
 //!   containment, deadlines, retry with LR backoff and reseeded init, and
 //!   failure classification feeding quarantine (DESIGN.md §13),
@@ -25,12 +28,11 @@ pub mod checkpoint;
 pub mod driver;
 pub mod evaluator;
 pub mod history;
-pub mod parallel;
 pub mod persist;
 pub mod policy;
 pub mod supervisor;
 
-pub use batched::{run_search_batched, run_search_batched_checkpointed, BatchedResult};
+pub use batched::{run_search_batched, BatchedResult};
 pub use checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
 pub use driver::{
     run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord,

@@ -92,20 +92,13 @@ fn meta_line(meta: &TraceMeta) -> String {
 }
 
 fn record_line(rec: &TraceRecord) -> String {
-    obj(vec![
-        ("kind", Json::Str("trace_record".to_string())),
-        ("iter", Json::Int(rec.iter as i64)),
-        ("status", Json::Str(rec.status.as_str().to_string())),
-        ("from_elite", Json::Bool(rec.from_elite)),
-        ("drop", Json::Float(rec.drop as f64)),
-        ("met_target", Json::Bool(rec.met_target)),
-        ("candidate_latency_ms", Json::Float(rec.candidate_latency_ms)),
-        ("best_latency_ms", Json::Float(rec.best_latency_ms)),
-        ("epochs", Json::Int(rec.epochs as i64)),
-        ("virtual_hours", Json::Float(rec.virtual_hours)),
-        ("wall_seconds", Json::Float(rec.wall_seconds)),
-    ])
-    .encode()
+    let mut fields: BTreeMap<String, Json> = rec
+        .fields()
+        .into_iter()
+        .map(|(name, value)| (name, value.to_json()))
+        .collect();
+    fields.insert("kind".to_string(), Json::Str("trace_record".to_string()));
+    Json::Obj(fields).encode()
 }
 
 /// Writes a search's trace as a `trace_meta` + `trace_record` JSONL file,

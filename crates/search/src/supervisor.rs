@@ -26,9 +26,12 @@
 //!
 //! # Determinism
 //!
-//! Attempt 0 consumes the main search RNG exactly like an unsupervised
-//! evaluation, so a clean run under the default config is bit-identical to
-//! the pre-supervisor driver. Retry attempts use fresh
+//! With batch size K = 1, attempt 0 consumes the main search RNG exactly
+//! like an unsupervised evaluation, so a clean run under the default config
+//! is bit-identical to the pre-supervisor driver. With K > 1 the driver
+//! evaluates a round's candidates concurrently, and attempt 0 of candidate
+//! `iter` runs on `Rng::new(candidate_seed(seed, iter))` instead. Retry
+//! attempts use fresh
 //! `Rng::new(retry_seed(..))` streams derived from `(seed, iter, attempt)`
 //! — they never touch the search stream, so a retried candidate perturbs
 //! nothing downstream and kill/resume at the retry boundary replays
@@ -68,8 +71,8 @@ pub struct SupervisorConfig {
     /// (`lr * backoff^attempt`).
     pub lr_backoff: f32,
     /// Tensor-pool byte budget armed during each attempt (the OOM guard).
-    /// Process-global: meaningful for the sequential driver, advisory for
-    /// the parallel batched path.
+    /// Process-global: meaningful at batch size 1, advisory when a round
+    /// of K > 1 candidates is evaluated concurrently.
     pub pool_byte_budget: Option<usize>,
     /// Fault injection (from `GMORPH_FAULT`): poisons the candidate at the
     /// configured iteration on *every* attempt — a faulty graph stays
@@ -105,12 +108,20 @@ pub struct FailureReport {
 /// `iter`.
 ///
 /// The constant salt keeps the derived seeds out of the search stream's
-/// seed space (`cfg.seed ^ 0x5EA_4C4`) and the parallel batch's per-index
-/// space; distinct `(iter, attempt)` pairs map to distinct seeds.
+/// seed space (`cfg.seed ^ 0x5EA_4C4`); distinct `(iter, attempt)` pairs
+/// map to distinct seeds.
 pub fn retry_seed(seed: u64, iter: usize, attempt: usize) -> u64 {
     seed ^ 0xF0A1_7E57_D00D_0000u64
         ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ ((attempt as u64) << 48)
+}
+
+/// Derives the RNG seed of attempt 0 of candidate `iter` when the driver
+/// evaluates a round of K > 1 candidates concurrently (K = 1 uses the
+/// search stream). It is attempt 0 of the [`retry_seed`] family, so it
+/// meets neither the search stream nor any retry (attempt ≥ 1).
+pub fn candidate_seed(seed: u64, iter: usize) -> u64 {
+    retry_seed(seed, iter, 0)
 }
 
 /// Derives the surrogate noise salt for retry attempt `attempt` (≥ 1):
@@ -411,12 +422,14 @@ mod tests {
     #[test]
     fn retry_seeds_are_disjoint_from_search_stream() {
         // The search stream seeds as cfg.seed ^ 0x5EA_4C4; retry streams
-        // must never collide with it (or with each other).
+        // and the K > 1 candidate streams (attempt 0) must never collide
+        // with it (or with each other).
         for seed in [0u64, 7, 42, 0xFFFF_FFFF] {
             let search_seed = seed ^ 0x5EA_4C4;
             let mut seen = std::collections::HashSet::new();
             for iter in 1..20 {
-                for attempt in 1..4 {
+                assert_eq!(candidate_seed(seed, iter), retry_seed(seed, iter, 0));
+                for attempt in 0..4 {
                     let rs = retry_seed(seed, iter, attempt);
                     assert_ne!(rs, search_seed);
                     assert!(seen.insert(rs), "duplicate retry seed");

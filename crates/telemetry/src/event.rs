@@ -18,7 +18,8 @@ pub enum Value {
 }
 
 impl Value {
-    fn to_json(&self) -> Json {
+    /// The value as a JSON scalar.
+    pub fn to_json(&self) -> Json {
         match self {
             Value::Int(i) => Json::Int(*i),
             Value::Float(f) => Json::Float(*f),

@@ -464,11 +464,11 @@ impl CheckpointOptions {
 
 /// Writes snapshots on a durability schedule with rotation.
 ///
-/// `tick` is called once per completed iteration with the fresh snapshot;
-/// it writes to disk every `every` iterations and keeps the latest
-/// snapshot *pending* in between. `Drop` flushes the pending snapshot —
-/// and `Drop` runs during panic unwinding, so a panicking run loses zero
-/// completed iterations. (An aborted process skips `Drop`; its loss is
+/// `tick` is called once per completed iteration (or round of iterations)
+/// with the fresh snapshot; it writes to disk every `every` iterations and
+/// keeps the latest snapshot *pending* in between. `Drop` flushes the
+/// pending snapshot — and `Drop` runs during panic unwinding, so a
+/// panicking run loses zero completed iterations. (An aborted process skips `Drop`; its loss is
 /// bounded by `every`.)
 #[derive(Debug)]
 pub struct CheckpointManager {
@@ -498,11 +498,13 @@ impl CheckpointManager {
         self.dir.join(format!("{}-{iter:06}.gmck", self.prefix))
     }
 
-    /// Accepts the snapshot for a completed iteration; writes it out when
-    /// the iteration hits the durability schedule.
-    pub fn tick(&mut self, iter: usize, env: Envelope) -> Result<()> {
-        self.pending = Some((iter, env));
-        if iter.is_multiple_of(self.every) {
+    /// Accepts the snapshot taken after completing `iters` (one iteration,
+    /// or one search round of several); writes it out, named after the
+    /// last iteration, when any of them hits the durability schedule.
+    pub fn tick(&mut self, iters: std::ops::RangeInclusive<usize>, env: Envelope) -> Result<()> {
+        let due = iters.clone().any(|i| i.is_multiple_of(self.every));
+        self.pending = Some((*iters.end(), env));
+        if due {
             self.flush()?;
         }
         Ok(())
@@ -687,5 +689,20 @@ mod tests {
         // Kind mismatch is corruption.
         assert!(is_corruption(&load(&path, "other").unwrap_err()));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_env_parsing() {
+        // No env poking from tests (parallel test runners share the
+        // process env); exercise the parser via a direct call path by
+        // checking maybe_crash is a no-op when unset.
+        let opts = CheckpointOptions::new(std::env::temp_dir());
+        opts.maybe_crash(5); // No crash configured: must return.
+        let mut with = opts.clone();
+        with.crash_after = Some((3, CrashKind::Panic));
+        with.maybe_crash(2); // Wrong iteration: must return.
+        let err = std::panic::catch_unwind(|| with.maybe_crash(3)).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("simulated crash"), "{msg}");
     }
 }

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 use gmorph::graph::persist::encode_model_bytes;
 use gmorph::models::train::{train_teacher_checkpointed, TrainConfig};
 use gmorph::prelude::*;
-use gmorph::search::batched::{run_search_batched_checkpointed, BatchedResult};
 use gmorph::search::driver::run_search_checkpointed;
 use gmorph::search::evaluator::EvalMode;
 use gmorph::search::{CheckpointOptions, CrashKind};
@@ -227,93 +226,79 @@ fn resume_is_bit_identical_at_every_interrupt_point() {
     }
 }
 
-fn assert_same_batched(a: &BatchedResult, b: &BatchedResult, what: &str) {
-    assert_eq!(
-        a.best_mini.signature(),
-        b.best_mini.signature(),
-        "{what}: best mini"
-    );
-    assert_eq!(
-        a.best_paper.signature(),
-        b.best_paper.signature(),
-        "{what}: best paper"
-    );
-    assert_eq!(
-        a.best_latency_ms.to_bits(),
-        b.best_latency_ms.to_bits(),
-        "{what}: best latency"
-    );
-    assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "{what}: speedup");
-    assert_eq!(a.rounds.len(), b.rounds.len(), "{what}: round count");
-    for (i, (x, y)) in a.rounds.iter().zip(&b.rounds).enumerate() {
-        assert_eq!(x.round, y.round, "{what}: rounds[{i}].round");
-        assert_eq!(x.evaluated, y.evaluated, "{what}: rounds[{i}].evaluated");
-        assert_eq!(x.skipped, y.skipped, "{what}: rounds[{i}].skipped");
-        assert_eq!(
-            x.best_latency_ms.to_bits(),
-            y.best_latency_ms.to_bits(),
-            "{what}: rounds[{i}].best_latency_ms"
-        );
-        assert_eq!(
-            x.virtual_hours.to_bits(),
-            y.virtual_hours.to_bits(),
-            "{what}: rounds[{i}].virtual_hours"
-        );
-    }
-}
-
+/// Batch size K > 1 gets the K = 1 resume guarantee: a crash inside a
+/// round (iteration 9 of the 7..=12 round) or at a round boundary resumes
+/// from the last completed round and replays bit-exactly.
 #[test]
 fn batched_resume_is_bit_identical() {
     let session = smoke_session(7);
     let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
-    let cfg = search_cfg(&session, 24);
-    let batch = 6usize; // 4 rounds.
+    let mut cfg = search_cfg(&session, 24);
+    cfg.batch_size = 6; // 4 rounds.
 
-    let reference = run_search_batched_checkpointed(
+    let reference = run_search_checkpointed(
         &session.mini_graph,
         &session.paper_graph,
         &session.weights,
         &mode,
         &cfg,
-        batch,
         None,
     )
     .unwrap();
-    assert_eq!(reference.rounds.len(), 4);
+    assert_eq!(reference.trace.len(), 24);
     assert!(reference.speedup > 1.0, "scenario found nothing: useless");
 
-    let dir = scratch_dir("batched");
-    let mut opts = CheckpointOptions::new(dir.clone());
-    opts.every = 1;
-    opts.crash_after = Some((2, CrashKind::Panic));
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        run_search_batched_checkpointed(
-            &session.mini_graph,
-            &session.paper_graph,
-            &session.weights,
-            &mode,
-            &cfg,
-            batch,
-            Some(&opts),
-        )
-    }));
-    assert!(crashed.is_err(), "crash at round 2 must panic");
+    for interrupt in [9usize, 12] {
+        let dir = scratch_dir(&format!("batched-i{interrupt}"));
+        let resumed = crash_and_resume(&session, &mode, &cfg, dir.clone(), interrupt);
+        assert_same_result(&reference, &resumed, &format!("K=6 interrupt={interrupt}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
 
-    let mut resume = CheckpointOptions::new(dir.clone());
-    resume.every = 1;
-    resume.resume = true;
-    let resumed = run_search_batched_checkpointed(
-        &session.mini_graph,
-        &session.paper_graph,
-        &session.weights,
-        &mode,
-        &cfg,
-        batch,
-        Some(&resume),
-    )
-    .unwrap();
-    assert_same_batched(&reference, &resumed, "batched interrupt=2");
-    std::fs::remove_dir_all(&dir).ok();
+/// K > 1 evaluates each round's candidates concurrently on the engine
+/// pool, each on its own RNG stream: the result must not depend on the
+/// thread count.
+#[test]
+fn batched_search_is_identical_across_thread_counts() {
+    let session = smoke_session(7);
+    let surrogate = OptimizationConfig {
+        iterations: 24,
+        seed: 7,
+        batch_size: 4,
+        ..Default::default()
+    };
+    // Real fine-tuning draws from the candidate streams.
+    let real = OptimizationConfig {
+        iterations: 4,
+        max_epochs: 2,
+        eval_every: 1,
+        mode: AccuracyMode::Real,
+        ..surrogate.clone()
+    };
+    for opt in [surrogate, real] {
+        let eval_mode = session.eval_mode(opt.mode).unwrap();
+        let mut cfg = opt.to_search_config();
+        cfg.virtual_throughput = session.virtual_throughput;
+        let run = || {
+            run_search_checkpointed(
+                &session.mini_graph,
+                &session.paper_graph,
+                &session.weights,
+                &eval_mode,
+                &cfg,
+                None,
+            )
+            .unwrap()
+        };
+        let single = engine::with_thread_limit(1, run);
+        let multi = engine::with_thread_limit(4, run);
+        assert_same_result(
+            &single,
+            &multi,
+            &format!("{:?} K=4 threads 1 vs 4", opt.mode),
+        );
+    }
 }
 
 /// Satellite: a fine-tune resumed from a checkpoint (model weights +

@@ -376,14 +376,15 @@ proptest! {
     /// Retry RNG streams are disjoint from the search stream and from
     /// each other: no (iteration, attempt) pair may reseed onto the
     /// search stream (which would perturb replay determinism), and
-    /// distinct retry attempts must not share a stream.
+    /// distinct attempts must not share a stream. Attempt 0 is the
+    /// per-candidate stream of a batch size K > 1 round.
     #[test]
     fn retry_streams_are_disjoint_from_search_stream(
         seed in 0u64..u64::MAX,
         iter_a in 0usize..10_000,
         iter_b in 0usize..10_000,
-        attempt_a in 1usize..16,
-        attempt_b in 1usize..16,
+        attempt_a in 0usize..16,
+        attempt_b in 0usize..16,
     ) {
         let search_seed = seed ^ 0x5EA_4C4;
         let rs_a = retry_seed(seed, iter_a, attempt_a);

@@ -132,6 +132,64 @@ fn injected_faults_are_contained_and_search_completes() {
     }
 }
 
+/// At batch size K = 4 a fault poisons exactly its own candidate, not the
+/// round: the other candidates of the round evaluate normally and the
+/// offender alone is retried, failed and quarantined.
+#[test]
+fn batched_fault_quarantines_only_its_candidate() {
+    let session = smoke_session(7);
+    let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
+    let mut cfg = surrogate_cfg(16);
+    cfg.batch_size = 4;
+    let reference = run(&session, &mode, &cfg);
+    assert_eq!(reference.trace.len(), 16);
+    assert_eq!(reference.failed, 0);
+    // A fault inside a round whose other candidates also reach evaluation.
+    let fault_iter = reference
+        .trace
+        .chunks(4)
+        .find(|round| {
+            round
+                .iter()
+                .filter(|r| r.status == CandidateStatus::Evaluated)
+                .count()
+                >= 2
+        })
+        .and_then(|round| {
+            round
+                .iter()
+                .find(|r| r.status == CandidateStatus::Evaluated)
+        })
+        .map(|r| r.iter)
+        .expect("no round with two evaluated candidates: useless scenario");
+
+    cfg.supervisor.fault = Some(FaultSpec {
+        kind: FaultKind::NanLoss,
+        at_iter: fault_iter,
+    });
+    let guard = install_test_sink();
+    let faulted = run(&session, &mode, &cfg);
+    let retry_events = counter_value("eval.retry");
+    drop(guard);
+
+    assert_eq!(faulted.trace.len(), reference.trace.len());
+    assert_eq!(faulted.failed, 1, "exactly the faulted candidate fails");
+    assert!(retry_events >= 1, "transient fault never retried");
+    let round_start = (fault_iter - 1) / 4 * 4 + 1;
+    for (a, b) in reference.trace.iter().zip(&faulted.trace) {
+        if a.iter == fault_iter {
+            assert_eq!(b.status, CandidateStatus::Failed);
+            assert!(b.drop.is_nan());
+        } else if a.iter < fault_iter || (a.iter >= round_start && a.iter < round_start + 4) {
+            // Earlier iterations and the rest of the round are untouched:
+            // each candidate of a round has its own RNG stream.
+            assert_eq!(a.status, b.status, "iter {}", a.iter);
+            assert_eq!(a.drop.to_bits(), b.drop.to_bits(), "iter {}", a.iter);
+            assert_eq!(a.epochs, b.epochs, "iter {}", a.iter);
+        }
+    }
+}
+
 /// A slow candidate trips the wall-clock deadline; timeouts are
 /// permanent (machine-dependent), so there is exactly one attempt and
 /// the candidate goes straight to quarantine.
