@@ -327,6 +327,9 @@ fn cmd_optimize(cli: &Cli) -> Result<(), String> {
 /// kinds, its decoded summary. Corrupt files report *why* they are
 /// rejected — the same classification the resume fallback uses.
 fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
+    use gmorph::graph::persist::{model_from_envelope, MODEL_KIND};
+    use gmorph::models::cache::{decode_teacher_weights, TEACHER_WEIGHTS_KIND};
+    use gmorph::models::train::{teacher_progress, TEACHER_KIND};
     use gmorph::search::checkpoint::{SearchSnapshot, SEARCH_KIND};
     use gmorph::tensor::checkpoint::{is_corruption, Envelope};
 
@@ -359,6 +362,26 @@ fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
             println!("  best latency  {:.3} ms", snap.best.latency_ms);
             println!("  virtual hours {:.4}", snap.state.clock_seconds / 3600.0);
             println!("  trace records {}", snap.trace.len());
+        }
+        TEACHER_KIND => {
+            let progress = teacher_progress(&env).map_err(|e| e.to_string())?;
+            println!("  fingerprint   {:#018x}", progress.fingerprint);
+            println!("  epoch         {}", progress.epoch);
+            println!("  adam steps    {}", progress.steps);
+            println!("  scores        {:?}", progress.scores);
+        }
+        MODEL_KIND => {
+            let (graph, weights) = model_from_envelope(&env).map_err(|e| e.to_string())?;
+            println!("  tasks         {}", graph.tasks.len());
+            println!("  nodes         {}", graph.len());
+            println!("  weighted      {}", weights.len());
+        }
+        TEACHER_WEIGHTS_KIND => {
+            let (score, weights) = decode_teacher_weights(&env).map_err(|e| e.to_string())?;
+            let params: usize = weights.iter().map(|(_, t)| t.numel()).sum();
+            println!("  score         {score}");
+            println!("  tensors       {}", weights.len());
+            println!("  parameters    {params}");
         }
         other => println!("  (no decoder for payload kind {other:?})"),
     }

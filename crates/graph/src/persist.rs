@@ -7,19 +7,28 @@
 //! one file, and [`load_model`] restores both, ready for
 //! [`crate::generator::generate`].
 //!
-//! Format: the graph structure is encoded as a UTF-8 text header (one
-//! line per node, explicit spec grammar — no `Debug` parsing), stored as
-//! the first entry of a gmorph state dict whose remaining entries are the
-//! per-node weight tensors.
+//! Format: a `fused_model` envelope of [`gmorph_tensor::checkpoint`]
+//! (CRC-checked, written atomically) with one `model` section. The section
+//! codec, [`put_model`]/[`get_model`], is also how search checkpoints
+//! embed their elites and best model: the graph structure as a UTF-8 text
+//! string (one line per node, explicit spec grammar — no `Debug` parsing),
+//! then the per-node weight tensors as a state dict.
 
 use crate::absgraph::{AbsGraph, AbsNode};
 use crate::parser::{op_type_of, WeightStore};
 use gmorph_data::{Metric, TaskSpec};
 use gmorph_nn::BlockSpec;
-use gmorph_tensor::serialize::{load_state_dict, save_state_dict};
+use gmorph_tensor::checkpoint::{load, save_atomic, ByteReader, ByteWriter, Envelope};
 use gmorph_tensor::{Result, Tensor, TensorError};
+use std::collections::HashMap;
+use std::path::Path;
 
 const FORMAT_VERSION: u32 = 1;
+
+/// Checkpoint payload kind of a saved fused model.
+pub const MODEL_KIND: &str = "fused_model";
+/// Schema version of the `fused_model` payload.
+pub const MODEL_SCHEMA: u32 = 1;
 
 fn bad(msg: String) -> TensorError {
     TensorError::Io(format!("persist: {msg}"))
@@ -245,7 +254,7 @@ pub fn decode_graph(text: &str) -> Result<AbsGraph> {
     let input_shape = input_shape.ok_or_else(|| bad("missing input record".into()))?;
     // Rebuild the arena preserving original node ids via an id map.
     let mut g = AbsGraph::new(input_shape, tasks);
-    let mut id_map = std::collections::HashMap::new();
+    let mut id_map = HashMap::new();
     for (old_id, mut node) in nodes {
         node.parent = match node.parent {
             Some(p) => Some(*id_map.get(&p).ok_or_else(|| {
@@ -393,23 +402,27 @@ pub fn decode_graph_exact(text: &str) -> Result<AbsGraph> {
     AbsGraph::from_arena(input_shape, tasks, nodes, roots, next_id, next_syn)
 }
 
-fn model_entries(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<(String, Tensor)>> {
-    model_entries_with(encode_graph(graph), graph, weights)
-}
-
-fn model_entries_with(
-    header: String,
+/// Writes a fused model into a checkpoint section: the graph text (the
+/// [`encode_graph_exact`] form when `exact`, else the portable
+/// [`encode_graph`] form), then its weights as a state dict.
+///
+/// Weights are keyed by the stable node identity (task_id, op_id), never
+/// by arena ids, because reloading a portable graph renumbers the arena.
+/// Encoding is deterministic (graph iteration order), so identical models
+/// produce identical bytes.
+pub fn put_model(
+    w: &mut ByteWriter,
     graph: &AbsGraph,
     weights: &WeightStore,
-) -> Result<Vec<(String, Tensor)>> {
-    let header_bytes: Vec<f32> = header.bytes().map(|b| b as f32).collect();
-    let mut entries = vec![(
-        "__graph".to_string(),
-        Tensor::from_vec(&[header_bytes.len()], header_bytes)?,
-    )];
+    exact: bool,
+) -> Result<()> {
+    w.put_str(&if exact {
+        encode_graph_exact(graph)
+    } else {
+        encode_graph(graph)
+    });
+    let mut entries = Vec::new();
     for (_, node) in graph.iter() {
-        // Weights are keyed by the stable node identity (task_id, op_id),
-        // never by arena ids: reloading re-numbers the arena.
         let (t_id, op) = node.key();
         if let Some(state) = weights.lookup(node.key(), &node.spec) {
             for (j, t) in state.iter().enumerate() {
@@ -421,90 +434,66 @@ fn model_entries_with(
             ));
         }
     }
-    Ok(entries)
+    w.put_state_dict(&entries);
+    Ok(())
 }
 
-fn model_from_entries(entries: &[(String, Tensor)]) -> Result<(AbsGraph, WeightStore)> {
-    let header = entries
-        .iter()
-        .find(|(k, _)| k == "__graph")
-        .ok_or_else(|| bad("missing __graph entry".into()))?;
-    let text: String = header
-        .1
-        .data()
-        .iter()
-        .map(|&f| {
-            let b = f as u32;
-            char::from_u32(b).unwrap_or('\u{FFFD}')
-        })
-        .collect();
-    // Dispatch on the header line: exact (checkpoint) vs portable format.
+/// Reads a fused model written by [`put_model`] in either graph form.
+pub fn get_model(r: &mut ByteReader) -> Result<(AbsGraph, WeightStore)> {
+    let text = r.get_str()?;
     let graph = if text.starts_with("gmorph-graph-exact ") {
         decode_graph_exact(&text)?
     } else {
         decode_graph(&text)?
     };
+    let entries: HashMap<String, Tensor> = r.get_state_dict()?.into_iter().collect();
     let mut weights = WeightStore::new();
     for (_, node) in graph.iter() {
         let (t_id, op) = node.key();
-        let count = entries
-            .iter()
-            .find(|(k, _)| *k == format!("w{t_id}.{op}.count"))
-            .map(|(_, t)| t.data()[0] as usize);
-        let Some(count) = count else { continue };
-        let mut state = Vec::with_capacity(count);
-        for j in 0..count {
-            let t = entries
-                .iter()
-                .find(|(k, _)| *k == format!("w{t_id}.{op}.t{j}"))
-                .ok_or_else(|| bad(format!("missing tensor w{t_id}.{op}.t{j}")))?;
-            state.push(t.1.clone());
-        }
+        let Some(count) = entries.get(&format!("w{t_id}.{op}.count")) else {
+            continue;
+        };
+        let count = match count.data() {
+            &[c] if c >= 0.0 && c.fract() == 0.0 && (c as usize) <= entries.len() => c as usize,
+            other => return Err(bad(format!("bad tensor count {other:?} for w{t_id}.{op}"))),
+        };
+        let state = (0..count)
+            .map(|j| {
+                entries
+                    .get(&format!("w{t_id}.{op}.t{j}"))
+                    .cloned()
+                    .ok_or_else(|| bad(format!("missing tensor w{t_id}.{op}.t{j}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
         weights.insert(node.key(), node.spec.clone(), state);
     }
     Ok((graph, weights))
 }
 
-/// Saves a fused model (graph + weights) to one file.
-pub fn save_model(path: &std::path::Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
-    save_state_dict(path, &model_entries(graph, weights)?)
+/// Saves a fused model (portable graph + weights) to one `fused_model`
+/// checkpoint file, atomically.
+pub fn save_model(path: &Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
+    let mut w = ByteWriter::new();
+    put_model(&mut w, graph, weights, false)?;
+    let mut env = Envelope::new(MODEL_KIND, MODEL_SCHEMA);
+    env.push("model", w.into_bytes());
+    save_atomic(path, &env)
 }
 
-/// Loads a fused model saved by [`save_model`].
-pub fn load_model(path: &std::path::Path) -> Result<(AbsGraph, WeightStore)> {
-    model_from_entries(&load_state_dict(path)?)
+/// Decodes a `fused_model` envelope.
+pub fn model_from_envelope(env: &Envelope) -> Result<(AbsGraph, WeightStore)> {
+    if env.schema != MODEL_SCHEMA {
+        return Err(bad(format!(
+            "fused_model schema v{} unsupported (expected v{MODEL_SCHEMA})",
+            env.schema
+        )));
+    }
+    get_model(&mut ByteReader::new(env.section("model")?))
 }
 
-/// Serializes a fused model (graph + weights) to bytes.
-///
-/// Same format as [`save_model`], in memory. Encoding is deterministic
-/// (graph iteration order), so identical models produce identical bytes —
-/// the comparison primitive of the checkpoint/resume replay tests, and the
-/// payload format of search checkpoints.
-pub fn encode_model_bytes(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    gmorph_tensor::serialize::write_state_dict(&mut buf, &model_entries(graph, weights)?)?;
-    Ok(buf)
-}
-
-/// Like [`encode_model_bytes`] but with the *exact* graph header
-/// ([`encode_graph_exact`]): node ids and allocation counters survive the
-/// round trip. This is the elite/best-model payload of search
-/// checkpoints, where a renumbered arena would derail the replay.
-pub fn encode_model_bytes_exact(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    gmorph_tensor::serialize::write_state_dict(
-        &mut buf,
-        &model_entries_with(encode_graph_exact(graph), graph, weights)?,
-    )?;
-    Ok(buf)
-}
-
-/// Restores a fused model from [`encode_model_bytes`] or
-/// [`encode_model_bytes_exact`] output (the header is self-describing).
-pub fn decode_model_bytes(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
-    let mut cursor = bytes;
-    model_from_entries(&gmorph_tensor::serialize::read_state_dict(&mut cursor)?)
+/// Loads a fused model saved by [`save_model`], verifying its checksum.
+pub fn load_model(path: &Path) -> Result<(AbsGraph, WeightStore)> {
+    model_from_envelope(&load(path, MODEL_KIND)?)
 }
 
 #[cfg(test)]
@@ -517,6 +506,7 @@ mod tests {
     use gmorph_models::families::{vgg, VggDepth, VisionScale};
     use gmorph_nn::Mode;
     use gmorph_tensor::rng::Rng;
+    use proptest::prelude::*;
 
     fn all_specs() -> Vec<BlockSpec> {
         vec![
@@ -621,9 +611,11 @@ mod tests {
         };
         assert_eq!(arena(&back), arena(&g));
 
-        // The exact header is self-describing through decode_model_bytes.
-        let bytes = encode_model_bytes_exact(&g, &store).unwrap();
-        let (g2, _) = decode_model_bytes(&bytes).unwrap();
+        // The exact header is self-describing through get_model.
+        let mut w = ByteWriter::new();
+        put_model(&mut w, &g, &store, true).unwrap();
+        let bytes = w.into_bytes();
+        let (g2, _) = get_model(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(g2.arena_counters(), g.arena_counters());
         assert_eq!(arena(&g2), arena(&g));
     }
@@ -632,7 +624,7 @@ mod tests {
     fn save_load_model_reproduces_outputs() {
         let (g, store) = mutated_graph_with_weights();
         let dir = std::env::temp_dir().join(format!("gmorph-persist-{}", std::process::id()));
-        let path = dir.join("fused.gmrh");
+        let path = dir.join("fused.gmck");
         save_model(&path, &g, &store).unwrap();
         let (g2, store2) = load_model(&path).unwrap();
         assert_eq!(g2.signature(), g.signature());
@@ -660,6 +652,54 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bit_flipped_model_file_is_corruption() {
+        let (g, store) = mutated_graph_with_weights();
+        let dir = std::env::temp_dir().join(format!("gmorph-persist-flip-{}", std::process::id()));
+        let path = dir.join("fused.gmck");
+        save_model(&path, &g, &store).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_model(&path).unwrap_err();
+        assert!(gmorph_tensor::checkpoint::is_corruption(&err), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn exact_model_bytes() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let (g, store) = mutated_graph_with_weights();
+            let mut w = ByteWriter::new();
+            put_model(&mut w, &g, &store, true).unwrap();
+            w.into_bytes()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn get_model_never_panics_on_arbitrary_bytes(
+            noise in proptest::collection::vec(0u8..=255, 1..64),
+            at in 0usize..4096,
+            cut in 0usize..1 << 22,
+        ) {
+            let _ = get_model(&mut ByteReader::new(&noise));
+            // Damage a valid encoding: XOR the noise in near the graph
+            // text, and sometimes truncate.
+            let mut bytes = exact_model_bytes().to_vec();
+            for (i, &b) in noise.iter().enumerate() {
+                if let Some(x) = bytes.get_mut(at + i) {
+                    *x ^= b;
+                }
+            }
+            bytes.truncate(cut);
+            let _ = get_model(&mut ByteReader::new(&bytes));
+        }
     }
 
     #[test]

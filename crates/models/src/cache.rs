@@ -4,13 +4,20 @@
 //! them, so trained weights (plus the teacher's test score) are persisted
 //! under a cache directory keyed by architecture fingerprint and seed. The
 //! paper's artifact ships pre-trained `.model` files for the same reason.
+//!
+//! Each entry is a `teacher_weights` envelope of
+//! [`gmorph_tensor::checkpoint`], so it is written atomically and its
+//! checksum is verified on every load: a damaged entry is retrained, never
+//! served.
 
 use crate::model::{ModelSpec, SingleTaskModel};
 use crate::train::{train_teacher, TrainConfig, TrainReport};
 use gmorph_data::dataset::Split;
+use gmorph_tensor::checkpoint::{
+    is_corruption, load, save_atomic, ByteReader, ByteWriter, Envelope,
+};
 use gmorph_tensor::rng::Rng;
-use gmorph_tensor::serialize::{load_state_dict, save_state_dict};
-use gmorph_tensor::{Result, Tensor};
+use gmorph_tensor::{Result, Tensor, TensorError};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -56,15 +63,36 @@ fn cache_path(spec: &ModelSpec, split: &Split, seed: u64) -> PathBuf {
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect();
     cache_dir().join(format!(
-        "{sane}-{seed}-{:016x}-{:016x}.gmrh",
+        "{sane}-{seed}-{:016x}-{:016x}.gmck",
         fingerprint(spec),
         data_fingerprint(split)
     ))
 }
 
+/// Checkpoint payload kind of a cached teacher.
+pub const TEACHER_WEIGHTS_KIND: &str = "teacher_weights";
+/// Schema version of the `teacher_weights` payload.
+pub const TEACHER_WEIGHTS_SCHEMA: u32 = 1;
+
+/// Decodes a `teacher_weights` envelope into its test score and weights.
+pub fn decode_teacher_weights(env: &Envelope) -> Result<(f32, Vec<(String, Tensor)>)> {
+    if env.schema != TEACHER_WEIGHTS_SCHEMA {
+        return Err(TensorError::Io(format!(
+            "checkpoint corrupt: teacher_weights schema v{} unsupported (expected v{TEACHER_WEIGHTS_SCHEMA})",
+            env.schema
+        )));
+    }
+    let score = ByteReader::new(env.section("score")?).get_f32()?;
+    let weights = ByteReader::new(env.section("weights")?).get_state_dict()?;
+    Ok((score, weights))
+}
+
 /// Loads a cached teacher or trains and caches one.
 ///
-/// Returns the model and its held-out test score.
+/// Returns the model and its held-out test score. A missing cache entry
+/// is a plain miss. An entry that fails its checksum, decode, or shape
+/// check is counted in `cache.corrupt`, reported as a `cache.rejected`
+/// point, and retrained over. Writing the entry is best-effort.
 pub fn load_or_train(
     spec: &ModelSpec,
     split: &Split,
@@ -73,28 +101,37 @@ pub fn load_or_train(
     seed: u64,
 ) -> Result<(SingleTaskModel, f32)> {
     let path = cache_path(spec, split, seed);
-    let mut rng = Rng::new(seed ^ fingerprint(spec));
-    let mut model = spec.build(&mut rng)?;
-    if let Ok(entries) = load_state_dict(&path) {
-        if let Some((_, score)) = entries.iter().find(|(k, _)| k == "__score") {
-            let weights: Vec<(String, Tensor)> = entries
-                .iter()
-                .filter(|(k, _)| k != "__score")
-                .cloned()
-                .collect();
-            if model.load_state_dict(&weights).is_ok() {
-                return Ok((model, score.data()[0]));
+    let build = || spec.build(&mut Rng::new(seed ^ fingerprint(spec)));
+    if path.exists() {
+        let mut model = build()?;
+        let cached = load(&path, TEACHER_WEIGHTS_KIND)
+            .and_then(|env| decode_teacher_weights(&env))
+            .and_then(|(score, weights)| model.load_state_dict(&weights).map(|()| score));
+        match cached {
+            Ok(score) => return Ok((model, score)),
+            Err(err) => {
+                gmorph_telemetry::counter!("cache.corrupt");
+                gmorph_telemetry::point!(
+                    "cache.rejected",
+                    path = path.display().to_string().as_str(),
+                    corruption = is_corruption(&err),
+                    error = err.to_string().as_str()
+                );
             }
         }
     }
+    // A fresh build: a rejected entry may have half-loaded into the model.
+    let mut model = build()?;
     let report: TrainReport = train_teacher(&mut model, &split.train, &split.test, task_idx, cfg)?;
-    let mut entries = model.state_dict();
-    entries.push((
-        "__score".to_string(),
-        Tensor::from_vec(&[1], vec![report.final_score])?,
-    ));
+    let mut w = ByteWriter::new();
+    w.put_f32(report.final_score);
+    let mut env = Envelope::new(TEACHER_WEIGHTS_KIND, TEACHER_WEIGHTS_SCHEMA);
+    env.push("score", w.into_bytes());
+    let mut w = ByteWriter::new();
+    w.put_state_dict(&model.state_dict());
+    env.push("weights", w.into_bytes());
     // Caching is best-effort: a read-only filesystem must not fail training.
-    let _ = save_state_dict(&path, &entries);
+    let _ = save_atomic(&path, &env);
     Ok((model, report.final_score))
 }
 

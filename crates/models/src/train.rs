@@ -115,23 +115,8 @@ fn encode_teacher(
     }
     env.push("meta", w.into_bytes());
 
-    let state = rng.state();
     let mut w = ByteWriter::new();
-    for k in state.key {
-        w.put_u32(k);
-    }
-    w.put_u64(state.counter);
-    for b in state.buf {
-        w.put_u32(b);
-    }
-    w.put_u64(state.index as u64);
-    match state.spare_normal {
-        Some(z) => {
-            w.put_u8(1);
-            w.put_f32(z);
-        }
-        None => w.put_u8(0),
-    }
+    w.put_rng(&rng.state());
     env.push("rng", w.into_bytes());
 
     let mut w = ByteWriter::new();
@@ -150,6 +135,45 @@ fn encode_teacher(
     env
 }
 
+/// The progress header of a teacher-training snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TeacherProgress {
+    /// Fingerprint of the run that wrote the snapshot.
+    pub fingerprint: u64,
+    /// Last completed epoch.
+    pub epoch: usize,
+    /// Adam bias-correction steps taken.
+    pub steps: u64,
+    /// Test score after each completed epoch.
+    pub scores: Vec<f32>,
+}
+
+/// Reads the progress header of a teacher-training snapshot, checking
+/// its schema version.
+pub fn teacher_progress(env: &Envelope) -> Result<TeacherProgress> {
+    if env.schema != TEACHER_SCHEMA {
+        return Err(TensorError::Io(format!(
+            "checkpoint corrupt: teacher schema v{} unsupported (expected v{TEACHER_SCHEMA})",
+            env.schema
+        )));
+    }
+    let mut r = ByteReader::new(env.section("meta")?);
+    let fingerprint = r.get_u64()?;
+    let epoch = r.get_u64()? as usize;
+    let steps = r.get_u64()?;
+    let n = r.get_u32()? as usize;
+    let mut scores = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        scores.push(r.get_f32()?);
+    }
+    Ok(TeacherProgress {
+        fingerprint,
+        epoch,
+        steps,
+        scores,
+    })
+}
+
 /// Restores training state from a snapshot; returns
 /// `(next_epoch, scores_so_far)`.
 fn decode_teacher(
@@ -159,48 +183,13 @@ fn decode_teacher(
     rng: &mut Rng,
     fingerprint: u64,
 ) -> Result<Option<(usize, Vec<f32>)>> {
-    if env.schema != TEACHER_SCHEMA {
-        return Err(TensorError::Io(format!(
-            "checkpoint corrupt: teacher schema v{} unsupported (expected v{TEACHER_SCHEMA})",
-            env.schema
-        )));
-    }
-    let mut r = ByteReader::new(env.section("meta")?);
-    if r.get_u64()? != fingerprint {
+    let progress = teacher_progress(env)?;
+    if progress.fingerprint != fingerprint {
         // Same kind, different run: not corruption, just not ours.
         return Ok(None);
     }
-    let epoch = r.get_u64()? as usize;
-    let steps = r.get_u64()?;
-    let n = r.get_u32()? as usize;
-    let mut scores = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        scores.push(r.get_f32()?);
-    }
-
-    let mut r = ByteReader::new(env.section("rng")?);
-    let mut key = [0u32; 8];
-    for k in &mut key {
-        *k = r.get_u32()?;
-    }
-    let counter = r.get_u64()?;
-    let mut buf = [0u32; 16];
-    for b in &mut buf {
-        *b = r.get_u32()?;
-    }
-    let index = r.get_len(16)?;
-    let spare_normal = match r.get_u8()? {
-        0 => None,
-        _ => Some(r.get_f32()?),
-    };
-    *rng = Rng::restore(&gmorph_tensor::rng::RngState {
-        key,
-        counter,
-        buf,
-        index,
-        spare_normal,
-    });
-    opt.set_step_count(steps);
+    *rng = Rng::restore(&ByteReader::new(env.section("rng")?).get_rng()?);
+    opt.set_step_count(progress.steps);
 
     let mut r = ByteReader::new(env.section("params")?);
     let count = r.get_u32()?;
@@ -236,7 +225,7 @@ fn decode_teacher(
     });
     match err {
         Some(e) => Err(e),
-        None => Ok(Some((epoch + 1, scores))),
+        None => Ok(Some((progress.epoch + 1, progress.scores))),
     }
 }
 

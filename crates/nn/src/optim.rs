@@ -1,41 +1,26 @@
-//! Optimizers.
+//! The optimizer.
 //!
-//! The paper fine-tunes with Adam (§6.1); SGD with momentum is included for
-//! the ablations. Optimizer state (moments) lives inside each
-//! [`Parameter`], so the optimizer object itself is a small configuration
-//! struct that can be shared across candidates.
+//! The paper fine-tunes with Adam (§6.1). Optimizer state (moments) lives
+//! inside each [`Parameter`], so the optimizer object itself is a small
+//! configuration struct that can be shared across candidates.
 
 use crate::param::Parameter;
 
-/// An optimizer: SGD with momentum, or Adam.
+/// Adam (Kingma & Ba), as used by the paper for fine-tuning.
 #[derive(Debug, Clone)]
-pub enum Optim {
-    /// Stochastic gradient descent with classical momentum.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient (0 disables momentum).
-        momentum: f32,
-    },
-    /// Adam (Kingma & Ba), as used by the paper for fine-tuning.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay.
-        beta1: f32,
-        /// Second-moment decay.
-        beta2: f32,
-        /// Numerical-stability epsilon.
-        eps: f32,
-        /// Step counter for bias correction.
-        t: u64,
-    },
+pub struct Optim {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// Step counter for bias correction.
+    t: u64,
 }
 
 impl Optim {
     /// Standard Adam configuration at a given learning rate.
     pub fn adam(lr: f32) -> Self {
-        Optim::Adam {
+        Optim {
             lr,
             beta1: 0.9,
             beta2: 0.999,
@@ -44,82 +29,55 @@ impl Optim {
         }
     }
 
-    /// Plain SGD with momentum 0.9.
-    pub fn sgd(lr: f32) -> Self {
-        Optim::Sgd { lr, momentum: 0.9 }
-    }
-
     /// Returns the learning rate.
     pub fn lr(&self) -> f32 {
-        match self {
-            Optim::Sgd { lr, .. } | Optim::Adam { lr, .. } => *lr,
-        }
+        self.lr
     }
 
     /// Sets the learning rate.
     pub fn set_lr(&mut self, new_lr: f32) {
-        match self {
-            Optim::Sgd { lr, .. } | Optim::Adam { lr, .. } => *lr = new_lr,
-        }
+        self.lr = new_lr;
     }
 
     /// Advances the step counter; call once per batch before updates.
     pub fn begin_step(&mut self) {
-        if let Optim::Adam { t, .. } = self {
-            *t += 1;
-        }
+        self.t += 1;
     }
 
-    /// Adam's bias-correction step counter (0 for SGD).
+    /// Adam's bias-correction step counter.
     ///
     /// Checkpointed alongside the per-parameter moments: a resumed run
     /// must continue the bias-correction schedule where it left off.
     pub fn step_count(&self) -> u64 {
-        match self {
-            Optim::Adam { t, .. } => *t,
-            Optim::Sgd { .. } => 0,
-        }
+        self.t
     }
 
-    /// Restores the step counter from a checkpoint (no-op for SGD).
+    /// Restores the step counter from a checkpoint.
     pub fn set_step_count(&mut self, steps: u64) {
-        if let Optim::Adam { t, .. } = self {
-            *t = steps;
-        }
+        self.t = steps;
     }
 
     /// Applies the update rule to one parameter and zeroes its gradient.
     pub fn update(&self, p: &mut Parameter) {
-        match *self {
-            Optim::Sgd { lr, momentum } => {
-                for i in 0..p.value.numel() {
-                    let g = p.grad.data()[i];
-                    let m = momentum * p.m.data()[i] + g;
-                    p.m.data_mut()[i] = m;
-                    p.value.data_mut()[i] -= lr * m;
-                }
-            }
-            Optim::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-            } => {
-                let t = t.max(1) as f32;
-                let bc1 = 1.0 - beta1.powf(t);
-                let bc2 = 1.0 - beta2.powf(t);
-                for i in 0..p.value.numel() {
-                    let g = p.grad.data()[i];
-                    let m = beta1 * p.m.data()[i] + (1.0 - beta1) * g;
-                    let v = beta2 * p.v.data()[i] + (1.0 - beta2) * g * g;
-                    p.m.data_mut()[i] = m;
-                    p.v.data_mut()[i] = v;
-                    let mhat = m / bc1;
-                    let vhat = v / bc2;
-                    p.value.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            }
+        let Optim {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            t,
+        } = *self;
+        let t = t.max(1) as f32;
+        let bc1 = 1.0 - beta1.powf(t);
+        let bc2 = 1.0 - beta2.powf(t);
+        for i in 0..p.value.numel() {
+            let g = p.grad.data()[i];
+            let m = beta1 * p.m.data()[i] + (1.0 - beta1) * g;
+            let v = beta2 * p.v.data()[i] + (1.0 - beta2) * g * g;
+            p.m.data_mut()[i] = m;
+            p.v.data_mut()[i] = v;
+            let mhat = m / bc1;
+            let vhat = v / bc2;
+            p.value.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
         }
         p.zero_grad();
     }
@@ -140,18 +98,6 @@ mod tests {
             opt.update(&mut p);
         }
         p.value.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = minimize(Optim::Sgd { lr: 0.05, momentum: 0.0 }, 200);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let x = minimize(Optim::sgd(0.02), 300);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]

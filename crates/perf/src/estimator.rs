@@ -71,41 +71,6 @@ pub fn estimate_latency_ms(graph: &AbsGraph, backend: Backend) -> Result<f64> {
     Ok(ms)
 }
 
-/// Approximate bytes moved by one node: inputs + outputs + parameters,
-/// 4 bytes each (the dominant traffic of a straightforward executor).
-fn node_bytes(node: &gmorph_graph::AbsNode) -> Result<u64> {
-    let input: usize = node.input_shape.iter().product();
-    let output: usize = node.out_shape()?.iter().product();
-    Ok(4 * (input + output + node.capacity) as u64)
-}
-
-/// Roofline-model latency: each node costs its launch overhead plus the
-/// *maximum* of its compute time and its memory time.
-///
-/// The default [`estimate_latency_ms`] is compute-only, which is accurate
-/// for the conv/attention-dominated models GMorph fuses; the roofline
-/// variant additionally charges memory-bound operators (pooling,
-/// re-scales, batch-norm tails) their bandwidth cost, which matters when
-/// mutations leave graphs dominated by cheap ops. Reported alongside the
-/// default in diagnostics; never lower than it.
-pub fn estimate_latency_roofline_ms(graph: &AbsGraph, backend: Backend) -> Result<f64> {
-    // Effective memory bandwidth in GB/s (RTX 8000-class for Eager;
-    // compiled engines overlap transfers better).
-    let bandwidth_gbps = match backend {
-        Backend::Eager => 550.0,
-        Backend::Fused => 672.0,
-    };
-    let mut ms = 0.0f64;
-    for (_, node) in graph.iter() {
-        let flops = node.spec.flops(&node.input_shape)? as f64;
-        let bytes = node_bytes(node)? as f64;
-        let compute_ms = flops / backend.throughput_gflops() / 1e6;
-        let memory_ms = bytes / bandwidth_gbps / 1e6;
-        ms += backend.per_op_overhead_us() / 1000.0 + compute_ms.max(memory_ms);
-    }
-    Ok(ms)
-}
-
 /// Measures wall-clock inference latency of a tree model on this CPU.
 ///
 /// Runs `warmup` unmeasured passes, then `iters` measured passes, and
@@ -256,39 +221,6 @@ mod tests {
             lat_fused < lat_orig,
             "fused {lat_fused} ms !< original {lat_orig} ms"
         );
-    }
-
-    #[test]
-    fn roofline_never_undercuts_the_compute_model() {
-        let (mini, paper) = graphs();
-        for g in [&mini, &paper] {
-            for b in [Backend::Eager, Backend::Fused] {
-                let compute = estimate_latency_ms(g, b).unwrap();
-                let roofline = estimate_latency_roofline_ms(g, b).unwrap();
-                assert!(
-                    roofline >= compute - 1e-9,
-                    "roofline {roofline} < compute {compute}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn roofline_preserves_fusion_speedups() {
-        let (_, paper) = graphs();
-        let prs = pairs::shareable_pairs(&paper).unwrap();
-        let cross = prs
-            .iter()
-            .find(|&&(n, m)| {
-                paper.node(n).unwrap().task_id != paper.node(m).unwrap().task_id
-                    && paper.node(m).unwrap().op_id > 3
-            })
-            .copied()
-            .unwrap();
-        let (mutated, _) = mutation::mutation_pass(&paper, &[cross]).unwrap();
-        let before = estimate_latency_roofline_ms(&paper, Backend::Eager).unwrap();
-        let after = estimate_latency_roofline_ms(&mutated, Backend::Eager).unwrap();
-        assert!(after < before);
     }
 
     #[test]

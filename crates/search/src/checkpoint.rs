@@ -15,7 +15,7 @@
 
 use crate::driver::{BestModel, CandidateStatus, SearchConfig, TraceRecord};
 use crate::history::Elite;
-use gmorph_graph::persist::{decode_graph_exact, decode_model_bytes, encode_graph_exact, encode_model_bytes_exact};
+use gmorph_graph::persist::{decode_graph_exact, encode_graph_exact, get_model, put_model};
 use gmorph_graph::{AbsGraph, CapacityVector};
 use gmorph_tensor::checkpoint::{
     fnv1a, is_corruption, load, snapshot_files, ByteReader, ByteWriter, Envelope, FNV_OFFSET,
@@ -31,8 +31,9 @@ pub use gmorph_tensor::checkpoint::{
 /// Payload kind of search snapshots.
 pub const SEARCH_KIND: &str = "search";
 /// Schema version of the search snapshot payload. v2 added quarantine
-/// entries to the filter section and failed/quarantined outcome counters.
-pub const SEARCH_SCHEMA: u32 = 2;
+/// entries to the filter section and failed/quarantined outcome counters;
+/// v3 embeds elites and the best model with the `put_model` section codec.
+pub const SEARCH_SCHEMA: u32 = 3;
 
 /// Fingerprints a search configuration plus its input graphs.
 ///
@@ -50,48 +51,6 @@ pub fn config_fingerprint(cfg: &SearchConfig, mini: &AbsGraph, paper: &AbsGraph)
 // ---------------------------------------------------------------------
 // Field-level codecs
 // ---------------------------------------------------------------------
-
-fn put_rng(w: &mut ByteWriter, s: &RngState) {
-    for k in s.key {
-        w.put_u32(k);
-    }
-    w.put_u64(s.counter);
-    for b in s.buf {
-        w.put_u32(b);
-    }
-    w.put_u64(s.index as u64);
-    match s.spare_normal {
-        Some(z) => {
-            w.put_u8(1);
-            w.put_f32(z);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn get_rng(r: &mut ByteReader) -> Result<RngState> {
-    let mut key = [0u32; 8];
-    for k in &mut key {
-        *k = r.get_u32()?;
-    }
-    let counter = r.get_u64()?;
-    let mut buf = [0u32; 16];
-    for b in &mut buf {
-        *b = r.get_u32()?;
-    }
-    let index = r.get_len(16)?;
-    let spare_normal = match r.get_u8()? {
-        0 => None,
-        _ => Some(r.get_f32()?),
-    };
-    Ok(RngState {
-        key,
-        counter,
-        buf,
-        index,
-        spare_normal,
-    })
-}
 
 fn put_capacity(w: &mut ByteWriter, cv: &CapacityVector) {
     w.put_u64(cv.total as u64);
@@ -144,7 +103,7 @@ fn get_scores(r: &mut ByteReader) -> Result<Vec<f32>> {
 }
 
 fn put_elite(w: &mut ByteWriter, e: &Elite) -> Result<()> {
-    w.put_bytes(&encode_model_bytes_exact(&e.mini, &e.weights)?);
+    put_model(w, &e.mini, &e.weights, true)?;
     w.put_str(&encode_graph_exact(&e.paper));
     w.put_f32(e.drop);
     w.put_f64(e.latency_ms);
@@ -153,7 +112,7 @@ fn put_elite(w: &mut ByteWriter, e: &Elite) -> Result<()> {
 }
 
 fn get_elite(r: &mut ByteReader) -> Result<Elite> {
-    let (mini, weights) = decode_model_bytes(&r.get_bytes()?)?;
+    let (mini, weights) = get_model(r)?;
     let paper = decode_graph_exact(&r.get_str()?)?;
     let drop = r.get_f32()?;
     let latency_ms = r.get_f64()?;
@@ -255,7 +214,7 @@ impl LoopState {
         env.push("loop", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        put_rng(&mut w, &self.rng);
+        w.put_rng(&self.rng);
         env.push("rng", w.into_bytes());
 
         let mut w = ByteWriter::new();
@@ -292,7 +251,7 @@ impl LoopState {
         let wall_offset = r.get_f64()?;
 
         let mut r = ByteReader::new(env.section("rng")?);
-        let rng = get_rng(&mut r)?;
+        let rng = r.get_rng()?;
 
         let mut r = ByteReader::new(env.section("filter")?);
         let nf = r.get_u32()? as usize;
@@ -364,7 +323,7 @@ impl SearchSnapshot {
         self.state.encode_into(&mut env)?;
 
         let mut w = ByteWriter::new();
-        w.put_bytes(&encode_model_bytes_exact(&self.best.mini, &self.best.weights)?);
+        put_model(&mut w, &self.best.mini, &self.best.weights, true)?;
         w.put_str(&encode_graph_exact(&self.best.paper));
         w.put_f64(self.best.latency_ms);
         w.put_f32(self.best.drop);
@@ -397,7 +356,7 @@ impl SearchSnapshot {
         let state = LoopState::decode_from(env)?;
 
         let mut r = ByteReader::new(env.section("best")?);
-        let (mini, weights) = decode_model_bytes(&r.get_bytes()?)?;
+        let (mini, weights) = get_model(&mut r)?;
         let paper = decode_graph_exact(&r.get_str()?)?;
         let latency_ms = r.get_f64()?;
         let drop = r.get_f32()?;

@@ -1,9 +1,10 @@
 //! Crash-safe checkpoint container: a versioned, checksummed, atomic
-//! on-disk envelope for snapshot payloads.
+//! on-disk envelope, the one file format of the workspace.
 //!
-//! Higher layers (search state, fine-tuning state) serialize themselves
-//! into named binary *sections*; this module owns everything that makes
-//! the result durable and trustworthy:
+//! Higher layers (search and teacher-training snapshots, cached teacher
+//! weights, saved fused models) serialize themselves into named binary
+//! *sections*; this module owns everything that makes the result durable
+//! and trustworthy:
 //!
 //! ```text
 //! file    := magic(u32="GMCP") format(u32) body_len(u64) crc32(u32) body
@@ -26,9 +27,16 @@
 //! The byte-level primitives ([`ByteWriter`]/[`ByteReader`]) encode floats
 //! via `to_bits`, so every snapshot round-trips *bit-exactly* — the
 //! foundation of the deterministic-replay guarantee tested in
-//! `tests/checkpoint_resume.rs`.
+//! `tests/checkpoint_resume.rs`. They include the shared section codecs
+//! for tensors, state dicts, and RNG states:
+//!
+//! ```text
+//! tensor     := rank(u64) dim(u64)* data(f32 bits)*
+//! state_dict := count(u64) (name_len(u64) name(utf8) tensor)*
+//! ```
 
-use crate::{Result, TensorError};
+use crate::rng::RngState;
+use crate::{Result, Tensor, TensorError};
 use std::io::Write;
 use std::path::Path;
 
@@ -37,6 +45,9 @@ const MAGIC: u32 = 0x474D_4350;
 
 /// Envelope layout version (the outer format, not the payload schema).
 pub const FORMAT_VERSION: u32 = 1;
+
+/// Largest tensor [`ByteReader::get_tensor`] accepts, in elements.
+const MAX_NUMEL: usize = 1 << 28;
 
 /// Marker prefix distinguishing corruption from plain I/O failures.
 const CORRUPT: &str = "checkpoint corrupt: ";
@@ -68,15 +79,29 @@ pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), bitwise, no tables.
+/// Byte-at-a-time lookup table for [`crc32`], built at compile time from
+/// the reflected IEEE polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 (the zlib/PNG polynomial), one table lookup per byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -137,6 +162,46 @@ impl ByteWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a tensor: rank, dims, then the data bit-exactly.
+    pub fn put_tensor(&mut self, t: &Tensor) {
+        self.put_u64(t.dims().len() as u64);
+        for &d in t.dims() {
+            self.put_u64(d as u64);
+        }
+        self.buf.reserve(4 * t.numel());
+        for &v in t.data() {
+            self.put_f32(v);
+        }
+    }
+
+    /// Appends a named collection of tensors (a "state dict").
+    pub fn put_state_dict(&mut self, entries: &[(String, Tensor)]) {
+        self.put_u64(entries.len() as u64);
+        for (name, t) in entries {
+            self.put_bytes(name.as_bytes());
+            self.put_tensor(t);
+        }
+    }
+
+    /// Appends a random-generator state, resumable bit-exactly.
+    pub fn put_rng(&mut self, s: &RngState) {
+        for k in s.key {
+            self.put_u32(k);
+        }
+        self.put_u64(s.counter);
+        for b in s.buf {
+            self.put_u32(b);
+        }
+        self.put_u64(s.index as u64);
+        match s.spare_normal {
+            Some(z) => {
+                self.put_u8(1);
+                self.put_f32(z);
+            }
+            None => self.put_u8(0),
+        }
     }
 }
 
@@ -207,20 +272,85 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    fn take_utf8(&mut self, n: usize) -> Result<String> {
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| corrupt(format!("bad utf8: {e}")))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String> {
         let n = self.get_u32()? as usize;
         if n > 1 << 24 {
             return Err(corrupt(format!("implausible string length {n}")));
         }
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| corrupt(format!("bad utf8: {e}")))
+        self.take_utf8(n)
     }
 
     /// Reads a length-prefixed byte blob.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.get_len(1 << 32)?;
         Ok(self.take(n)?.to_vec())
+    }
+
+    /// Reads a tensor written by [`ByteWriter::put_tensor`]. Rank is capped
+    /// at 8 and element count at 2^28, and the data must be present before
+    /// anything is allocated for it.
+    pub fn get_tensor(&mut self) -> Result<Tensor> {
+        let rank = self.get_len(8)?;
+        let mut dims = Vec::with_capacity(rank);
+        let mut numel = 1usize;
+        for _ in 0..rank {
+            let d = self.get_len(MAX_NUMEL)?;
+            numel = numel
+                .checked_mul(d)
+                .filter(|&n| n <= MAX_NUMEL)
+                .ok_or_else(|| corrupt(format!("implausible tensor size {dims:?}x{d}")))?;
+            dims.push(d);
+        }
+        let data = self
+            .take(4 * numel)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        Tensor::from_vec(&dims, data).map_err(corrupt)
+    }
+
+    /// Reads a state dict written by [`ByteWriter::put_state_dict`]: at
+    /// most 2^20 entries, names at most 4096 bytes.
+    pub fn get_state_dict(&mut self) -> Result<Vec<(String, Tensor)>> {
+        let count = self.get_len(1 << 20)?;
+        let mut out = Vec::with_capacity(count.min(self.remaining()));
+        for _ in 0..count {
+            let n = self.get_len(4096)?;
+            let name = self.take_utf8(n)?;
+            out.push((name, self.get_tensor()?));
+        }
+        Ok(out)
+    }
+
+    /// Reads a random-generator state written by [`ByteWriter::put_rng`].
+    pub fn get_rng(&mut self) -> Result<RngState> {
+        let mut key = [0u32; 8];
+        for k in &mut key {
+            *k = self.get_u32()?;
+        }
+        let counter = self.get_u64()?;
+        let mut buf = [0u32; 16];
+        for b in &mut buf {
+            *b = self.get_u32()?;
+        }
+        let index = self.get_len(16)?;
+        let spare_normal = match self.get_u8()? {
+            0 => None,
+            _ => Some(self.get_f32()?),
+        };
+        Ok(RngState {
+            key,
+            counter,
+            buf,
+            index,
+            spare_normal,
+        })
     }
 }
 
@@ -599,6 +729,8 @@ pub fn load_latest(dir: &Path, prefix: &str, kind: &str) -> Result<Option<Envelo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+    use proptest::prelude::*;
 
     fn sample() -> Envelope {
         let mut e = Envelope::new("test", 3);
@@ -635,6 +767,74 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_bytes().unwrap(), vec![9, 9, 9]);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn tensor_roundtrip() {
+        let mut rng = Rng::new(0);
+        let t = Tensor::randn(&[2, 3, 4], 1.0, &mut rng);
+        let mut w = ByteWriter::new();
+        w.put_tensor(&t);
+        w.put_tensor(&Tensor::full(&[], f32::NAN));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_tensor().unwrap(), t);
+        let nan = r.get_tensor().unwrap();
+        assert_eq!(
+            (nan.dims(), nan.data()[0].to_bits()),
+            (&[][..], f32::NAN.to_bits())
+        );
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn state_dict_roundtrip() {
+        let mut rng = Rng::new(1);
+        let entries = vec![
+            (
+                "layer0.weight".to_string(),
+                Tensor::randn(&[4, 4], 1.0, &mut rng),
+            ),
+            (
+                "layer0.bias".to_string(),
+                Tensor::randn(&[4], 1.0, &mut rng),
+            ),
+            ("scalar".to_string(), Tensor::full(&[], 7.0)),
+        ];
+        let mut w = ByteWriter::new();
+        w.put_state_dict(&entries);
+        assert_eq!(
+            ByteReader::new(&w.into_bytes()).get_state_dict().unwrap(),
+            entries
+        );
+    }
+
+    #[test]
+    fn rng_roundtrip_resumes_the_stream() {
+        let mut rng = Rng::new(3);
+        rng.normal();
+        let mut w = ByteWriter::new();
+        w.put_rng(&rng.state());
+        let mut back = Rng::restore(&ByteReader::new(&w.into_bytes()).get_rng().unwrap());
+        for _ in 0..40 {
+            assert_eq!(back.normal().to_bits(), rng.normal().to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn arbitrary_tensor_roundtrip(
+            dims in proptest::collection::vec(1usize..5, 0..4),
+            seed in 0u64..1000,
+        ) {
+            let mut rng = Rng::new(seed);
+            let t = Tensor::randn(&dims, 1.0, &mut rng);
+            let mut w = ByteWriter::new();
+            w.put_tensor(&t);
+            prop_assert_eq!(ByteReader::new(&w.into_bytes()).get_tensor().unwrap(), t);
+        }
     }
 
     #[test]

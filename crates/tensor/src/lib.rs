@@ -12,9 +12,8 @@
 //!   between shared features of mismatched shapes, §4.1 of the paper),
 //! - [`ops`]: activations, softmax, and reductions,
 //! - [`rng`]: deterministic seeded random number utilities,
-//! - [`serialize`]: a tiny binary format for weight caching,
-//! - [`checkpoint`]: a versioned, checksummed, atomically-written envelope
-//!   for crash-safe snapshots of long-running jobs,
+//! - [`checkpoint`]: a versioned, checksummed, atomically-written envelope,
+//!   the one on-disk format (snapshots, teacher caches, fused models),
 //! - [`engine`]: the shared worker pool that kernels dispatch onto.
 //!
 //! Hot kernels (GEMM, convolution, pooling, large elementwise ops) run on a
@@ -32,11 +31,10 @@ pub mod interp;
 pub mod ops;
 pub mod pool;
 pub mod rng;
-pub mod serialize;
 pub mod shape;
 pub mod tensor;
 
-pub use error::{FailureKind, FaultKind, FaultSpec, GmorphError};
+pub use error::{FailureKind, FaultKind, FaultSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -4,7 +4,7 @@
 //! iteration and resuming from the newest on-disk snapshot must yield a
 //! result bit-identical to an uninterrupted run — best configuration,
 //! score, counters, per-iteration trace, and the fused model's
-//! serialized state dict. Only wall-clock time is exempt.
+//! serialized bytes. Only wall-clock time is exempt.
 //!
 //! Crashes are injected with `CheckpointOptions::crash_after` using
 //! `CrashKind::Panic`, which unwinds through the search loop exactly
@@ -15,12 +15,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use gmorph::graph::persist::encode_model_bytes;
+use gmorph::graph::persist::put_model;
 use gmorph::models::train::{train_teacher_checkpointed, TrainConfig};
 use gmorph::prelude::*;
 use gmorph::search::driver::run_search_checkpointed;
 use gmorph::search::evaluator::EvalMode;
 use gmorph::search::{CheckpointOptions, CrashKind};
+use gmorph::tensor::checkpoint::ByteWriter;
 use gmorph::tensor::engine;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -82,9 +83,12 @@ fn assert_same_result(a: &SearchResult, b: &SearchResult, what: &str) {
     for (i, (x, y)) in a.best.scores.iter().zip(&b.best.scores).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: score {i}");
     }
-    let a_bytes = encode_model_bytes(&a.best.mini, &a.best.weights).unwrap();
-    let b_bytes = encode_model_bytes(&b.best.mini, &b.best.weights).unwrap();
-    assert_eq!(a_bytes, b_bytes, "{what}: fused model state dict bytes");
+    let model_bytes = |r: &SearchResult| {
+        let mut w = ByteWriter::new();
+        put_model(&mut w, &r.best.mini, &r.best.weights, false).unwrap();
+        w.into_bytes()
+    };
+    assert_eq!(model_bytes(a), model_bytes(b), "{what}: fused model bytes");
     assert_eq!(
         a.original_latency_ms.to_bits(),
         b.original_latency_ms.to_bits(),

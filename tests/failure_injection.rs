@@ -5,11 +5,22 @@
 use gmorph::models::cache::load_or_train;
 use gmorph::models::train::TrainConfig;
 use gmorph::prelude::*;
-use gmorph::tensor::serialize::{read_state_dict, save_state_dict, write_state_dict};
+use gmorph::telemetry::metrics::counter_value;
+use gmorph::telemetry::sink::install_test_sink;
+use gmorph::tensor::checkpoint::{
+    is_corruption, save_atomic, staging_path, ByteReader, ByteWriter, Envelope,
+};
+use std::sync::Mutex;
+
+/// Serializes the tests that point `GMORPH_CACHE_DIR` somewhere: the
+/// process environment is shared by every test thread.
+static CACHE_ENV: Mutex<()> = Mutex::new(());
 
 #[test]
 fn corrupted_cache_files_fall_back_to_training() {
+    let _env = CACHE_ENV.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("gmorph-corrupt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("GMORPH_CACHE_DIR", &dir);
 
@@ -24,14 +35,66 @@ fn corrupted_cache_files_fall_back_to_training() {
     };
     // First call populates the cache.
     let (_, score1) = load_or_train(&bench.mini[0], &split, 0, &tc, 901).unwrap();
-    // Corrupt every cache file.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        std::fs::write(&path, b"definitely not a gmorph state dict").unwrap();
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "gmck"))
+        .expect("cache entry written");
+    let good = std::fs::read(&entry).unwrap();
+
+    // Each damage must be caught, counted, and retrained over to the same
+    // score; the rewritten entry then serves the next call as a hit.
+    let garbage = b"definitely not a gmorph envelope".to_vec();
+    let mut poisoned = good.clone();
+    let mid = poisoned.len() / 2;
+    // 0x7f7f7f7f is a finite float (~3.4e38): only the checksum sees it.
+    poisoned[mid..mid + 4].copy_from_slice(&[0x7f; 4]);
+    assert_ne!(poisoned, good, "the overwrite must change the entry");
+    let truncated = good[..good.len() / 3].to_vec();
+    for (damage, bytes, stale_tmp) in [
+        ("garbage", garbage, false),
+        ("0x7f7f7f7f mid-payload", poisoned, false),
+        ("truncation", truncated.clone(), false),
+        ("stale .tmp sibling", truncated, true),
+    ] {
+        std::fs::write(&entry, bytes).unwrap();
+        if stale_tmp {
+            // A crashed writer's half-written staging file: never read.
+            std::fs::write(staging_path(&entry), &good[..good.len() / 2]).unwrap();
+        }
+        let guard = install_test_sink();
+        let (_, score2) = load_or_train(&bench.mini[0], &split, 0, &tc, 901).unwrap();
+        let corrupt = counter_value("cache.corrupt");
+        let rejected = guard
+            .events()
+            .into_iter()
+            .find(|e| e.name == "cache.rejected");
+        drop(guard);
+        let rejected = rejected.unwrap_or_else(|| panic!("{damage}: no cache.rejected event"));
+        for key in ["path", "corruption", "error"] {
+            assert!(
+                rejected.field(key).is_some(),
+                "{damage}: cache.rejected lacks {key}"
+            );
+        }
+        assert_eq!(score1.to_bits(), score2.to_bits(), "{damage}: score");
+        assert_eq!(corrupt, 1, "{damage}: cache.corrupt");
+        assert_eq!(
+            std::fs::read(&entry).unwrap(),
+            good,
+            "{damage}: entry rewritten"
+        );
+        assert!(
+            !staging_path(&entry).exists(),
+            "{damage}: staging file left"
+        );
     }
-    // Second call must not panic and must retrain to the same score.
-    let (_, score2) = load_or_train(&bench.mini[0], &split, 0, &tc, 901).unwrap();
-    assert_eq!(score1, score2);
+    // The rewritten entry is a clean hit.
+    let guard = install_test_sink();
+    let (_, score3) = load_or_train(&bench.mini[0], &split, 0, &tc, 901).unwrap();
+    assert_eq!(counter_value("cache.corrupt"), 0);
+    drop(guard);
+    assert_eq!(score1.to_bits(), score3.to_bits());
 
     std::env::remove_var("GMORPH_CACHE_DIR");
     std::fs::remove_dir_all(&dir).ok();
@@ -40,27 +103,39 @@ fn corrupted_cache_files_fall_back_to_training() {
 #[test]
 fn truncated_state_dicts_error_cleanly() {
     let entries = vec![("w".to_string(), Tensor::ones(&[8, 8]))];
-    let mut buf = Vec::new();
-    write_state_dict(&mut buf, &entries).unwrap();
+    let mut w = ByteWriter::new();
+    w.put_state_dict(&entries);
+    let buf = w.into_bytes();
+    assert_eq!(ByteReader::new(&buf).get_state_dict().unwrap(), entries);
     // Every truncation point must error, not panic.
-    for cut in [0usize, 1, 4, 8, 12, buf.len() - 1] {
-        let slice = &buf[..cut];
-        assert!(read_state_dict(&mut &slice[..]).is_err(), "cut at {cut}");
+    for cut in 0..buf.len() {
+        let err = ByteReader::new(&buf[..cut]).get_state_dict().unwrap_err();
+        assert!(is_corruption(&err), "cut at {cut}: {err}");
     }
-    // Bit-flipped magic errors.
+    // A rank beyond the cap errors.
     let mut bad = buf.clone();
-    bad[0] ^= 0xFF;
-    assert!(read_state_dict(&mut bad.as_slice()).is_err());
+    bad[8 + 8 + 1] = 9; // Entry count, name length, name "w", then rank.
+    assert!(ByteReader::new(&bad).get_state_dict().is_err());
 }
 
 #[test]
 fn hostile_header_values_do_not_allocate_absurdly() {
-    // A fake header claiming 2^30 entries must be rejected up front.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&0x474D_5248u32.to_le_bytes()); // Magic.
-    buf.extend_from_slice(&1u32.to_le_bytes()); // Version.
-    buf.extend_from_slice(&(1u32 << 30).to_le_bytes()); // Entry count.
-    assert!(read_state_dict(&mut buf.as_slice()).is_err());
+    let get = |bytes: &[u8]| ByteReader::new(bytes).get_state_dict();
+    let u64s = |vals: &[u64]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    // Entry count 2^30: over the 2^20 cap, rejected up front.
+    assert!(get(&u64s(&[1 << 30])).is_err());
+    // A name length of 2^40 bytes.
+    assert!(get(&u64s(&[1, 1 << 40])).is_err());
+    // One entry named "w" whose dims multiply past 2^28 elements.
+    let mut bytes = u64s(&[1, 1]);
+    bytes.push(b'w');
+    bytes.extend(u64s(&[2, 1 << 20, 1 << 20]));
+    assert!(get(&bytes).is_err());
+    // Within the caps, but the data is not there: still no allocation.
+    let mut bytes = u64s(&[1, 1]);
+    bytes.push(b'w');
+    bytes.extend(u64s(&[1, 1 << 27]));
+    assert!(get(&bytes).is_err());
 }
 
 #[test]
@@ -111,11 +186,11 @@ fn nan_inputs_do_not_crash_inference() {
 
 #[test]
 fn saving_into_unwritable_location_is_nonfatal_for_cache() {
-    // save_state_dict itself errors...
-    let entries = vec![("w".to_string(), Tensor::ones(&[2]))];
-    assert!(save_state_dict(
-        std::path::Path::new("/proc/definitely/not/writable/x.gmrh"),
-        &entries
+    let _env = CACHE_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    // save_atomic itself errors...
+    assert!(save_atomic(
+        std::path::Path::new("/proc/definitely/not/writable/x.gmck"),
+        &Envelope::new("teacher_weights", 1)
     )
     .is_err());
     // ...but load_or_train treats caching as best-effort.
@@ -144,9 +219,6 @@ fn corrupted_checkpoints_fall_back_never_panic() {
     use gmorph::search::checkpoint::{SEARCH_KIND, SEARCH_SCHEMA};
     use gmorph::search::driver::run_search_checkpointed;
     use gmorph::search::CheckpointOptions;
-    use gmorph::telemetry::metrics::counter_value;
-    use gmorph::telemetry::sink::install_test_sink;
-    use gmorph::tensor::checkpoint::Envelope;
 
     let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), 905).unwrap();
     let session = Session::prepare(

@@ -157,7 +157,7 @@ proptest! {
 use gmorph::search::driver::run_search_checkpointed;
 use gmorph::search::evaluator::EvalMode;
 use gmorph::search::{CheckpointOptions, CrashKind};
-use gmorph::tensor::checkpoint::Envelope;
+use gmorph::tensor::checkpoint::{crc32, ByteReader, ByteWriter, Envelope};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -312,6 +312,51 @@ proptest! {
         // Every flip lands in magic, format, length, CRC, or the
         // CRC-covered body — all detected.
         prop_assert!(Envelope::decode(&bytes).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Envelope::decode` returns an error, never panics, on arbitrary
+    /// bytes — including arbitrary bodies behind a valid header and CRC,
+    /// which reach the section parser.
+    #[test]
+    fn envelope_decode_never_panics(
+        body in proptest::collection::vec(0u8..=255u8, 1..256),
+    ) {
+        let _ = Envelope::decode(&body);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"PCMG"); // "GMCP" little-endian.
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let _ = Envelope::decode(&bytes);
+    }
+
+    /// `get_state_dict` returns an error, never panics, on arbitrary bytes
+    /// and on damaged or truncated valid state dicts.
+    #[test]
+    fn get_state_dict_never_panics(
+        noise in proptest::collection::vec(0u8..=255u8, 1..64),
+        at in 0usize..128,
+        cut in 0usize..256,
+    ) {
+        let _ = ByteReader::new(&noise).get_state_dict();
+        let mut w = ByteWriter::new();
+        w.put_state_dict(&[
+            ("a.weight".to_string(), Tensor::ones(&[2, 3])),
+            ("a.bias".to_string(), Tensor::zeros(&[3])),
+        ]);
+        let mut bytes = w.into_bytes();
+        for (i, &b) in noise.iter().enumerate() {
+            if let Some(x) = bytes.get_mut(at + i) {
+                *x ^= b;
+            }
+        }
+        bytes.truncate(cut);
+        let _ = ByteReader::new(&bytes).get_state_dict();
     }
 }
 
