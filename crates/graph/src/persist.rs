@@ -410,12 +410,7 @@ pub fn decode_graph_exact(text: &str) -> Result<AbsGraph> {
 /// by arena ids, because reloading a portable graph renumbers the arena.
 /// Encoding is deterministic (graph iteration order), so identical models
 /// produce identical bytes.
-pub fn put_model(
-    w: &mut ByteWriter,
-    graph: &AbsGraph,
-    weights: &WeightStore,
-    exact: bool,
-) -> Result<()> {
+pub fn put_model(w: &mut ByteWriter, graph: &AbsGraph, weights: &WeightStore, exact: bool) {
     w.put_str(&if exact {
         encode_graph_exact(graph)
     } else {
@@ -430,12 +425,11 @@ pub fn put_model(
             }
             entries.push((
                 format!("w{t_id}.{op}.count"),
-                Tensor::from_vec(&[1], vec![state.len() as f32])?,
+                Tensor::full(&[1], state.len() as f32),
             ));
         }
     }
     w.put_state_dict(&entries);
-    Ok(())
 }
 
 /// Reads a fused model written by [`put_model`] in either graph form.
@@ -474,7 +468,7 @@ pub fn get_model(r: &mut ByteReader) -> Result<(AbsGraph, WeightStore)> {
 /// checkpoint file, atomically.
 pub fn save_model(path: &Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
     let mut w = ByteWriter::new();
-    put_model(&mut w, graph, weights, false)?;
+    put_model(&mut w, graph, weights, false);
     let mut env = Envelope::new(MODEL_KIND, MODEL_SCHEMA);
     env.push("model", w.into_bytes());
     save_atomic(path, &env)
@@ -613,7 +607,7 @@ mod tests {
 
         // The exact header is self-describing through get_model.
         let mut w = ByteWriter::new();
-        put_model(&mut w, &g, &store, true).unwrap();
+        put_model(&mut w, &g, &store, true);
         let bytes = w.into_bytes();
         let (g2, _) = get_model(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(g2.arena_counters(), g.arena_counters());
@@ -674,7 +668,7 @@ mod tests {
         BYTES.get_or_init(|| {
             let (g, store) = mutated_graph_with_weights();
             let mut w = ByteWriter::new();
-            put_model(&mut w, &g, &store, true).unwrap();
+            put_model(&mut w, &g, &store, true);
             w.into_bytes()
         })
     }

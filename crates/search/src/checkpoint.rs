@@ -102,13 +102,12 @@ fn get_scores(r: &mut ByteReader) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-fn put_elite(w: &mut ByteWriter, e: &Elite) -> Result<()> {
-    put_model(w, &e.mini, &e.weights, true)?;
+fn put_elite(w: &mut ByteWriter, e: &Elite) {
+    put_model(w, &e.mini, &e.weights, true);
     w.put_str(&encode_graph_exact(&e.paper));
     w.put_f32(e.drop);
     w.put_f64(e.latency_ms);
     put_scores(w, &e.scores);
-    Ok(())
 }
 
 fn get_elite(r: &mut ByteReader) -> Result<Elite> {
@@ -204,7 +203,7 @@ pub struct LoopState {
 }
 
 impl LoopState {
-    fn encode_into(&self, env: &mut Envelope) -> Result<()> {
+    fn encode_into(&self, env: &mut Envelope) {
         let mut w = ByteWriter::new();
         w.put_u64(self.fingerprint);
         w.put_u64(self.next_iter as u64);
@@ -236,10 +235,9 @@ impl LoopState {
         }
         w.put_u32(self.elites.len() as u32);
         for e in &self.elites {
-            put_elite(&mut w, e)?;
+            put_elite(&mut w, e);
         }
         env.push("history", w.into_bytes());
-        Ok(())
     }
 
     fn decode_from(env: &Envelope) -> Result<LoopState> {
@@ -318,12 +316,12 @@ pub struct SearchSnapshot {
 
 impl SearchSnapshot {
     /// Serializes the snapshot into an envelope.
-    pub fn encode(&self) -> Result<Envelope> {
+    pub fn encode(&self) -> Envelope {
         let mut env = Envelope::new(SEARCH_KIND, SEARCH_SCHEMA);
-        self.state.encode_into(&mut env)?;
+        self.state.encode_into(&mut env);
 
         let mut w = ByteWriter::new();
-        put_model(&mut w, &self.best.mini, &self.best.weights, true)?;
+        put_model(&mut w, &self.best.mini, &self.best.weights, true);
         w.put_str(&encode_graph_exact(&self.best.paper));
         w.put_f64(self.best.latency_ms);
         w.put_f32(self.best.drop);
@@ -342,7 +340,7 @@ impl SearchSnapshot {
         let mut w = ByteWriter::new();
         put_trace(&mut w, &self.trace);
         env.push("trace", w.into_bytes());
-        Ok(env)
+        env
     }
 
     /// Restores a snapshot from an envelope, checking the schema version.
@@ -538,7 +536,7 @@ mod tests {
     #[test]
     fn search_snapshot_roundtrips() {
         let snap = sample_snapshot();
-        let env = snap.encode().unwrap();
+        let env = snap.encode();
         let back = SearchSnapshot::decode(&env).unwrap();
         assert_eq!(back.state.fingerprint, snap.state.fingerprint);
         assert_eq!(back.state.next_iter, snap.state.next_iter);
@@ -567,7 +565,7 @@ mod tests {
     #[test]
     fn schema_skew_is_rejected() {
         let snap = sample_snapshot();
-        let mut env = snap.encode().unwrap();
+        let mut env = snap.encode();
         env.schema = SEARCH_SCHEMA + 1;
         assert!(SearchSnapshot::decode(&env).is_err());
     }
@@ -582,7 +580,7 @@ mod tests {
         for iter in 1..=6 {
             let mut snap = sample_snapshot();
             snap.state.next_iter = iter + 1;
-            mgr.tick(iter..=iter, snap.encode().unwrap()).unwrap();
+            mgr.tick(iter..=iter, snap.encode()).unwrap();
         }
         // Writes at 2, 4, 6; rotation keeps the newest 2.
         let found = snapshot_files(&dir, SEARCH_KIND);
@@ -602,7 +600,7 @@ mod tests {
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
         for round in 0..4 {
             let (first, last) = (4 * round + 1, 4 * round + 4);
-            mgr.tick(first..=last, sample_snapshot().encode().unwrap())
+            mgr.tick(first..=last, sample_snapshot().encode())
                 .unwrap();
         }
         // Rounds 5..=8 and 9..=12 cover iterations 6 and 12; each write is
@@ -624,7 +622,7 @@ mod tests {
         opts.every = 100; // Never hits the schedule.
         {
             let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-            mgr.tick(3..=3, sample_snapshot().encode().unwrap())
+            mgr.tick(3..=3, sample_snapshot().encode())
                 .unwrap();
         } // Drop writes iteration 3.
         assert_eq!(snapshot_files(&dir, SEARCH_KIND).len(), 1);
@@ -639,10 +637,10 @@ mod tests {
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
         let mut a = sample_snapshot();
         a.state.next_iter = 2;
-        mgr.tick(1..=1, a.encode().unwrap()).unwrap();
+        mgr.tick(1..=1, a.encode()).unwrap();
         let mut b = sample_snapshot();
         b.state.next_iter = 3;
-        mgr.tick(2..=2, b.encode().unwrap()).unwrap();
+        mgr.tick(2..=2, b.encode()).unwrap();
         // Corrupt the newest in place.
         let newest = dir.join(format!("{SEARCH_KIND}-000002.gmck"));
         let mut bytes = std::fs::read(&newest).unwrap();
@@ -659,7 +657,7 @@ mod tests {
         let dir = tmp_dir("fpr");
         let opts = CheckpointOptions::new(&dir);
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-        mgr.tick(1..=1, sample_snapshot().encode().unwrap())
+        mgr.tick(1..=1, sample_snapshot().encode())
             .unwrap();
         assert!(load_latest_search(&dir, 0xDEAD).unwrap().is_none());
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());

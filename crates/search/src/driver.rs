@@ -751,7 +751,7 @@ pub fn run_search_checkpointed(
                 quarantined_count: quarantined,
                 trace: trace.clone(),
             };
-            mgr.tick(first..=last, snapshot.encode()?)?;
+            mgr.tick(first..=last, snapshot.encode())?;
         }
         if let Some(opts) = ckpt {
             (first..=last).for_each(|iter| opts.maybe_crash(iter));

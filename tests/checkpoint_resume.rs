@@ -85,7 +85,7 @@ fn assert_same_result(a: &SearchResult, b: &SearchResult, what: &str) {
     }
     let model_bytes = |r: &SearchResult| {
         let mut w = ByteWriter::new();
-        put_model(&mut w, &r.best.mini, &r.best.weights, false).unwrap();
+        put_model(&mut w, &r.best.mini, &r.best.weights, false);
         w.into_bytes()
     };
     assert_eq!(model_bytes(a), model_bytes(b), "{what}: fused model bytes");
