@@ -28,7 +28,7 @@ const FORMAT_VERSION: u32 = 1;
 /// Checkpoint payload kind of a saved fused model.
 pub const MODEL_KIND: &str = "fused_model";
 /// Schema version of the `fused_model` payload.
-pub const MODEL_SCHEMA: u32 = 1;
+const MODEL_SCHEMA: u32 = 1;
 
 fn bad(msg: String) -> TensorError {
     TensorError::Io(format!("persist: {msg}"))

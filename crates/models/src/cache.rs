@@ -72,7 +72,7 @@ fn cache_path(spec: &ModelSpec, split: &Split, seed: u64) -> PathBuf {
 /// Checkpoint payload kind of a cached teacher.
 pub const TEACHER_WEIGHTS_KIND: &str = "teacher_weights";
 /// Schema version of the `teacher_weights` payload.
-pub const TEACHER_WEIGHTS_SCHEMA: u32 = 1;
+const TEACHER_WEIGHTS_SCHEMA: u32 = 1;
 
 /// Decodes a `teacher_weights` envelope into its test score and weights.
 pub fn decode_teacher_weights(env: &Envelope) -> Result<(f32, Vec<(String, Tensor)>)> {

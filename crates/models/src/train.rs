@@ -136,7 +136,7 @@ fn encode_teacher(
 }
 
 /// The progress header of a teacher-training snapshot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct TeacherProgress {
     /// Fingerprint of the run that wrote the snapshot.
     pub fingerprint: u64,
