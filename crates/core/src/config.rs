@@ -2,7 +2,6 @@
 
 use gmorph_graph::pairs::PairPolicy;
 use gmorph_models::train::TrainConfig;
-use gmorph_nn::health::HealthConfig;
 use gmorph_perf::accuracy::FinetuneConfig;
 use gmorph_search::driver::{Objective, SearchConfig};
 use gmorph_search::policy::PolicyKind;
@@ -220,27 +219,20 @@ impl OptimizationConfig {
                 lr: self.lr,
                 eval_every: self.eval_every,
                 target_drop: self.accuracy_threshold,
-                task_weights: Vec::new(),
                 early_termination: self.early_termination,
                 seed: self.seed,
-                health: HealthConfig {
-                    grad_clip: self.grad_clip,
-                    ..HealthConfig::default()
-                },
+                grad_clip: self.grad_clip,
                 wall_deadline_ms: self.candidate_deadline_ms,
                 inject: None,
             },
-            virtual_samples: 20_000,
             virtual_throughput: gmorph_perf::clock::DEFAULT_THROUGHPUT,
             seed: self.seed,
             supervisor: SupervisorConfig {
                 max_retries: self.max_retries,
-                candidate_deadline_ms: self.candidate_deadline_ms,
                 // Fault injection comes from the environment only, read
                 // once here at configuration time (the CI fault-smoke
                 // hook, mirroring GMORPH_CRASH_AFTER).
                 fault: FaultSpec::from_env(),
-                ..SupervisorConfig::default()
             },
         }
     }
@@ -297,13 +289,12 @@ mod tests {
         };
         let sc = cfg.to_search_config();
         assert_eq!(sc.supervisor.max_retries, 5);
-        assert_eq!(sc.supervisor.candidate_deadline_ms, Some(750));
         assert_eq!(sc.finetune.wall_deadline_ms, Some(750));
-        assert_eq!(sc.finetune.health.grad_clip, Some(2.5));
+        assert_eq!(sc.finetune.grad_clip, Some(2.5));
         assert_eq!(sc.finetune.inject, None);
         // The default stays inert so clean runs remain bit-identical.
         let default = OptimizationConfig::default().to_search_config();
-        assert_eq!(default.finetune.health.grad_clip, None);
-        assert_eq!(default.supervisor.candidate_deadline_ms, None);
+        assert_eq!(default.finetune.grad_clip, None);
+        assert_eq!(default.finetune.wall_deadline_ms, None);
     }
 }

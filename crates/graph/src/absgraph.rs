@@ -154,11 +154,11 @@ impl AbsGraph {
     /// Rebuilds a graph from raw arena parts, preserving node ids, root
     /// and child ordering, and allocation counters exactly.
     ///
-    /// This is the restore half of the checkpoint codec: unlike
-    /// [`crate::persist::decode_graph`], which renumbers the arena, a
-    /// graph restored here continues to mutate identically to the one
-    /// that was saved. Node `capacity` is recomputed from the spec (as
-    /// [`AbsGraph::add_node`] does) and the result is validated.
+    /// This is the restore half of the graph codec
+    /// ([`crate::persist::decode_graph_exact`]): a graph restored here
+    /// continues to mutate identically to the one that was saved. Node
+    /// `capacity` is recomputed from the spec (as [`AbsGraph::add_node`]
+    /// does) and the result is validated.
     pub fn from_arena(
         input_shape: Vec<usize>,
         tasks: Vec<TaskSpec>,
@@ -310,16 +310,6 @@ impl AbsGraph {
         Ok(serving)
     }
 
-    /// The feature-shape dictionary `D` of Definition 1: maps each input
-    /// feature shape to the nodes consuming it.
-    pub fn shape_dict(&self) -> HashMap<Vec<usize>, Vec<NodeId>> {
-        let mut dict: HashMap<Vec<usize>, Vec<NodeId>> = HashMap::new();
-        for (id, n) in self.iter() {
-            dict.entry(n.input_shape.clone()).or_default().push(id);
-        }
-        dict
-    }
-
     /// Total per-sample FLOPs of the graph.
     pub fn flops(&self) -> Result<u64> {
         let mut total = 0u64;
@@ -343,15 +333,16 @@ impl AbsGraph {
                 msg,
             })
         };
-        // Link symmetry and reachability.
-        let topo = self.topo_order();
-        if topo.len() != self.nodes.len() {
-            return fail(format!(
-                "{} nodes but {} reachable from roots",
-                self.nodes.len(),
-                topo.len()
-            ));
+        // Link symmetry first: every root is parentless, every parent
+        // lists the node, every child points back, and each node is linked
+        // exactly once. Only then is the walk below guaranteed to end (a
+        // parent/child cycle would otherwise make it run forever).
+        for &r in &self.roots {
+            if self.node(r)?.parent.is_some() {
+                return fail(format!("root {r} has a parent"));
+            }
         }
+        let mut links = self.roots.len();
         for (id, n) in self.iter() {
             match n.parent {
                 Some(p) => {
@@ -371,6 +362,21 @@ impl AbsGraph {
                     return fail(format!("child {c} does not point back to {id}"));
                 }
             }
+            links += n.children.len();
+        }
+        if links != self.nodes.len() {
+            return fail(format!("{links} links for {} nodes", self.nodes.len()));
+        }
+        // Reachability.
+        let topo = self.topo_order();
+        if topo.len() != self.nodes.len() {
+            return fail(format!(
+                "{} nodes but {} reachable from roots",
+                self.nodes.len(),
+                topo.len()
+            ));
+        }
+        for (id, n) in self.iter() {
             // Shape chain.
             let feed = self.feed_shape(n.parent)?;
             if feed != n.input_shape {
@@ -596,14 +602,6 @@ mod tests {
         // Removing a head leaves its parent a non-head leaf.
         g.remove_leaf(heads[0]).unwrap();
         assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn shape_dict_groups_by_input_shape() {
-        let g = two_chain();
-        let dict = g.shape_dict();
-        // Both chain roots consume the shared input shape.
-        assert_eq!(dict[&vec![3usize, 8, 8]].len(), 2);
     }
 
     #[test]

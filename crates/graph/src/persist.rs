@@ -10,9 +10,10 @@
 //! Format: a `fused_model` envelope of [`gmorph_tensor::checkpoint`]
 //! (CRC-checked, written atomically) with one `model` section. The section
 //! codec, [`put_model`]/[`get_model`], is also how search checkpoints
-//! embed their elites and best model: the graph structure as a UTF-8 text
-//! string (one line per node, explicit spec grammar — no `Debug` parsing),
-//! then the per-node weight tensors as a state dict.
+//! embed their elites and best model: the exact graph structure as a UTF-8
+//! text string (arena counters, roots, one line per node, explicit spec
+//! grammar — no `Debug` parsing), then the per-node weight tensors as a
+//! state dict.
 
 use crate::absgraph::{AbsGraph, AbsNode};
 use crate::parser::{op_type_of, WeightStore};
@@ -27,8 +28,9 @@ const FORMAT_VERSION: u32 = 1;
 
 /// Checkpoint payload kind of a saved fused model.
 pub const MODEL_KIND: &str = "fused_model";
-/// Schema version of the `fused_model` payload.
-const MODEL_SCHEMA: u32 = 1;
+/// Schema version of the `fused_model` payload (2: the graph is always in
+/// the exact form).
+const MODEL_SCHEMA: u32 = 2;
 
 fn bad(msg: String) -> TensorError {
     TensorError::Io(format!("persist: {msg}"))
@@ -41,12 +43,23 @@ fn encode_dims(dims: &[usize]) -> String {
         .join("x")
 }
 
+/// Largest width, channel count, vocabulary or shape dim a decoded graph
+/// may carry. Far above any model this crate builds, and low enough that
+/// capacity and shape arithmetic on decoded specs cannot overflow.
+const MAX_WIDTH: usize = 1 << 16;
+/// Largest kernel, stride, pool size, patch size or head count; these
+/// must also be nonzero, because shape arithmetic divides by them.
+const MAX_WINDOW: usize = 1 << 8;
+
 fn decode_dims(s: &str) -> Result<Vec<usize>> {
     if s.is_empty() {
         return Ok(Vec::new());
     }
     s.split('x')
-        .map(|p| p.parse::<usize>().map_err(|_| bad(format!("bad dims {s:?}"))))
+        .map(|p| match p.parse::<usize>() {
+            Ok(d) if d <= MAX_WIDTH => Ok(d),
+            _ => Err(bad(format!("bad dims {s:?}"))),
+        })
         .collect()
 }
 
@@ -81,15 +94,20 @@ pub fn encode_spec(spec: &BlockSpec) -> String {
     }
 }
 
-/// Decodes a block spec written by [`encode_spec`].
+/// Decodes a block spec written by [`encode_spec`]. Widths are capped at
+/// [`MAX_WIDTH`]; kernels, strides, pool and patch sizes and head counts
+/// must lie in `1..=MAX_WINDOW`.
 pub fn decode_spec(s: &str) -> Result<BlockSpec> {
     let parts: Vec<&str> = s.split(':').collect();
-    let int = |i: usize| -> Result<usize> {
+    let field = |i: usize, range: std::ops::RangeInclusive<usize>| -> Result<usize> {
         parts
             .get(i)
             .and_then(|p| p.parse().ok())
+            .filter(|v| range.contains(v))
             .ok_or_else(|| bad(format!("bad spec field {i} in {s:?}")))
     };
+    let int = |i: usize| field(i, 0..=MAX_WIDTH);
+    let window = |i: usize| field(i, 1..=MAX_WINDOW);
     Ok(match parts[0] {
         "conv_relu" => BlockSpec::ConvRelu {
             c_in: int(1)?,
@@ -98,23 +116,23 @@ pub fn decode_spec(s: &str) -> Result<BlockSpec> {
         "conv_bn_relu" => BlockSpec::ConvBnRelu {
             c_in: int(1)?,
             c_out: int(2)?,
-            kernel: int(3)?,
-            stride: int(4)?,
+            kernel: window(3)?,
+            stride: window(4)?,
         },
         "residual" => BlockSpec::Residual {
             c_in: int(1)?,
             c_out: int(2)?,
-            stride: int(3)?,
+            stride: window(3)?,
         },
-        "maxpool" => BlockSpec::MaxPool { k: int(1)? },
+        "maxpool" => BlockSpec::MaxPool { k: window(1)? },
         "transformer" => BlockSpec::Transformer {
             d: int(1)?,
-            heads: int(2)?,
+            heads: window(2)?,
         },
         "patch_embed" => BlockSpec::PatchEmbed {
             channels: int(1)?,
             img: int(2)?,
-            patch: int(3)?,
+            patch: window(3)?,
             d: int(4)?,
         },
         "token_embed" => BlockSpec::TokenEmbed {
@@ -166,109 +184,6 @@ fn decode_loss(s: &str) -> Result<gmorph_data::LossKind> {
     })
 }
 
-/// Serializes the graph structure to the text header.
-pub fn encode_graph(graph: &AbsGraph) -> String {
-    let mut out = format!("gmorph-graph v{FORMAT_VERSION}\n");
-    out.push_str(&format!("input {}\n", encode_dims(&graph.input_shape)));
-    for t in &graph.tasks {
-        out.push_str(&format!(
-            "task {} {} {} {}\n",
-            t.name.replace(' ', "_"),
-            t.classes,
-            encode_metric(t.metric),
-            encode_loss(t.loss)
-        ));
-    }
-    for id in graph.topo_order() {
-        let n = graph.node(id).expect("topo order yields live nodes");
-        out.push_str(&format!(
-            "node {} {} {} {} {} {}\n",
-            id,
-            n.task_id,
-            n.op_id,
-            match n.parent {
-                Some(p) => p.to_string(),
-                None => "-".to_string(),
-            },
-            encode_dims(&n.input_shape),
-            encode_spec(&n.spec)
-        ));
-    }
-    out
-}
-
-/// Restores a graph from the text header.
-pub fn decode_graph(text: &str) -> Result<AbsGraph> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| bad("empty header".into()))?;
-    if header != format!("gmorph-graph v{FORMAT_VERSION}") {
-        return Err(bad(format!("unsupported header {header:?}")));
-    }
-    let mut input_shape = None;
-    let mut tasks = Vec::new();
-    let mut nodes: Vec<(usize, AbsNode)> = Vec::new();
-    for line in lines {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        match parts.first().copied() {
-            Some("input") => {
-                input_shape = Some(decode_dims(parts.get(1).copied().unwrap_or(""))?)
-            }
-            Some("task") => {
-                if parts.len() != 5 {
-                    return Err(bad(format!("bad task line {line:?}")));
-                }
-                tasks.push(TaskSpec {
-                    name: parts[1].to_string(),
-                    classes: parts[2].parse().map_err(|_| bad("bad classes".into()))?,
-                    metric: decode_metric(parts[3])?,
-                    loss: decode_loss(parts[4])?,
-                });
-            }
-            Some("node") => {
-                if parts.len() != 7 {
-                    return Err(bad(format!("bad node line {line:?}")));
-                }
-                let id: usize = parts[1].parse().map_err(|_| bad("bad id".into()))?;
-                let spec = decode_spec(parts[6])?;
-                nodes.push((
-                    id,
-                    AbsNode {
-                        task_id: parts[2].parse().map_err(|_| bad("bad task id".into()))?,
-                        op_id: parts[3].parse().map_err(|_| bad("bad op id".into()))?,
-                        op_type: op_type_of(&spec),
-                        spec,
-                        input_shape: decode_dims(parts[5])?,
-                        capacity: 0,
-                        parent: match parts[4] {
-                            "-" => None,
-                            p => Some(p.parse().map_err(|_| bad("bad parent".into()))?),
-                        },
-                        children: vec![],
-                    },
-                ));
-            }
-            Some(other) => return Err(bad(format!("unknown record {other:?}"))),
-            None => {}
-        }
-    }
-    let input_shape = input_shape.ok_or_else(|| bad("missing input record".into()))?;
-    // Rebuild the arena preserving original node ids via an id map.
-    let mut g = AbsGraph::new(input_shape, tasks);
-    let mut id_map = HashMap::new();
-    for (old_id, mut node) in nodes {
-        node.parent = match node.parent {
-            Some(p) => Some(*id_map.get(&p).ok_or_else(|| {
-                bad(format!("node {old_id} references unknown parent {p}"))
-            })?),
-            None => None,
-        };
-        let new_id = g.add_node(node)?;
-        id_map.insert(old_id, new_id);
-    }
-    g.validate()?;
-    Ok(g)
-}
-
 fn encode_ids(ids: &[usize]) -> String {
     if ids.is_empty() {
         return "-".to_string();
@@ -288,14 +203,13 @@ fn decode_ids(s: &str) -> Result<Vec<usize>> {
         .collect()
 }
 
-/// Serializes a graph's *exact* arena state for crash-safe checkpointing.
+/// Serializes a graph's *exact* arena state.
 ///
-/// The portable [`encode_graph`] renumbers node ids on reload; that is
-/// fine for shipping models, but a search checkpoint must restore the
-/// arena bit-exactly — node ids, root and child ordering, and the
-/// `next_id`/`next_synthetic_op` allocation counters all feed future
-/// mutations, so any renumbering makes a resumed search diverge from the
-/// uninterrupted one.
+/// A search checkpoint must restore the arena bit-exactly — node ids, root
+/// and child ordering, and the `next_id`/`next_synthetic_op` allocation
+/// counters all feed future mutations, so any renumbering would make a
+/// resumed search diverge from the uninterrupted one. Saved fused models
+/// use the same form.
 pub fn encode_graph_exact(graph: &AbsGraph) -> String {
     let (next_id, next_syn) = graph.arena_counters();
     let mut out = format!("gmorph-graph-exact v{FORMAT_VERSION}\n");
@@ -402,20 +316,14 @@ pub fn decode_graph_exact(text: &str) -> Result<AbsGraph> {
     AbsGraph::from_arena(input_shape, tasks, nodes, roots, next_id, next_syn)
 }
 
-/// Writes a fused model into a checkpoint section: the graph text (the
-/// [`encode_graph_exact`] form when `exact`, else the portable
-/// [`encode_graph`] form), then its weights as a state dict.
+/// Writes a fused model into a checkpoint section: the
+/// [`encode_graph_exact`] graph text, then its weights as a state dict.
 ///
-/// Weights are keyed by the stable node identity (task_id, op_id), never
-/// by arena ids, because reloading a portable graph renumbers the arena.
-/// Encoding is deterministic (graph iteration order), so identical models
-/// produce identical bytes.
-pub fn put_model(w: &mut ByteWriter, graph: &AbsGraph, weights: &WeightStore, exact: bool) {
-    w.put_str(&if exact {
-        encode_graph_exact(graph)
-    } else {
-        encode_graph(graph)
-    });
+/// Weights are keyed by the stable node identity (task_id, op_id), the
+/// key [`WeightStore`] lookups use. Encoding is deterministic (graph
+/// iteration order), so identical models produce identical bytes.
+pub fn put_model(w: &mut ByteWriter, graph: &AbsGraph, weights: &WeightStore) {
+    w.put_str(&encode_graph_exact(graph));
     let mut entries = Vec::new();
     for (_, node) in graph.iter() {
         let (t_id, op) = node.key();
@@ -432,14 +340,9 @@ pub fn put_model(w: &mut ByteWriter, graph: &AbsGraph, weights: &WeightStore, ex
     w.put_state_dict(&entries);
 }
 
-/// Reads a fused model written by [`put_model`] in either graph form.
+/// Reads a fused model written by [`put_model`].
 pub fn get_model(r: &mut ByteReader) -> Result<(AbsGraph, WeightStore)> {
-    let text = r.get_str()?;
-    let graph = if text.starts_with("gmorph-graph-exact ") {
-        decode_graph_exact(&text)?
-    } else {
-        decode_graph(&text)?
-    };
+    let graph = decode_graph_exact(&r.get_str()?)?;
     let entries: HashMap<String, Tensor> = r.get_state_dict()?.into_iter().collect();
     let mut weights = WeightStore::new();
     for (_, node) in graph.iter() {
@@ -464,11 +367,11 @@ pub fn get_model(r: &mut ByteReader) -> Result<(AbsGraph, WeightStore)> {
     Ok((graph, weights))
 }
 
-/// Saves a fused model (portable graph + weights) to one `fused_model`
+/// Saves a fused model (exact graph + weights) to one `fused_model`
 /// checkpoint file, atomically.
 pub fn save_model(path: &Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
     let mut w = ByteWriter::new();
-    put_model(&mut w, graph, weights, false);
+    put_model(&mut w, graph, weights);
     let mut env = Envelope::new(MODEL_KIND, MODEL_SCHEMA);
     env.push("model", w.into_bytes());
     save_atomic(path, &env)
@@ -580,8 +483,8 @@ mod tests {
     #[test]
     fn graph_text_roundtrip_preserves_structure() {
         let (g, _) = mutated_graph_with_weights();
-        let text = encode_graph(&g);
-        let back = decode_graph(&text).unwrap();
+        let text = encode_graph_exact(&g);
+        let back = decode_graph_exact(&text).unwrap();
         assert_eq!(back.signature(), g.signature());
         assert_eq!(back.len(), g.len());
         assert_eq!(back.tasks, g.tasks);
@@ -595,9 +498,9 @@ mod tests {
         assert_eq!(back.arena_counters(), g.arena_counters());
         assert_eq!(back.roots, g.roots);
         assert_eq!(back.signature(), g.signature());
-        // Node ids, parent links, and child ordering must all survive —
-        // the portable codec renumbers these, which is exactly what a
-        // search checkpoint cannot tolerate.
+        // Node ids, parent links, and child ordering must all survive:
+        // renumbering them is exactly what a search checkpoint cannot
+        // tolerate.
         let arena = |g: &AbsGraph| -> Vec<(usize, Option<usize>, Vec<usize>)> {
             g.iter()
                 .map(|(id, n)| (id, n.parent, n.children.clone()))
@@ -605,9 +508,9 @@ mod tests {
         };
         assert_eq!(arena(&back), arena(&g));
 
-        // The exact header is self-describing through get_model.
+        // The model section carries the exact form.
         let mut w = ByteWriter::new();
-        put_model(&mut w, &g, &store, true);
+        put_model(&mut w, &g, &store);
         let bytes = w.into_bytes();
         let (g2, _) = get_model(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(g2.arena_counters(), g.arena_counters());
@@ -668,7 +571,7 @@ mod tests {
         BYTES.get_or_init(|| {
             let (g, store) = mutated_graph_with_weights();
             let mut w = ByteWriter::new();
-            put_model(&mut w, &g, &store, true);
+            put_model(&mut w, &g, &store);
             w.into_bytes()
         })
     }
@@ -696,13 +599,159 @@ mod tests {
         }
     }
 
+    /// A valid three-node exact graph (input 3x8x8, one task) whose
+    /// middle node carries `spec` and feeds the head with a 4x8x8 input.
+    fn exact_text_with(spec: &str) -> String {
+        format!(
+            "gmorph-graph-exact v1\ninput 3x8x8\narena 3 1048576\ntask a 2 accuracy ce\n\
+             roots 0\nnode 0 0 0 - 3x8x8 conv_relu:3:4 1\nnode 1 0 1 0 4x8x8 {spec} 2\n\
+             node 2 0 2 1 4x8x8 head:4:2 -\n"
+        )
+    }
+
+    /// Exact text of a small ViT-style chain (patch embed, encoder, head).
+    const VIT_TEXT: &str = "gmorph-graph-exact v1\ninput 3x8x8\narena 3 1048576\n\
+        task a 2 accuracy ce\nroots 0\nnode 0 0 0 - 3x8x8 patch_embed:3:8:4:8 1\n\
+        node 1 0 1 0 4x8 transformer:8:2 2\nnode 2 0 2 1 4x8 head:8:2 -\n";
+
+    #[test]
+    fn decode_rejects_parent_child_cycle() {
+        // Nodes 0 and 1 are each other's parent and child: without the
+        // link checks, the walk from root 0 never ends.
+        let text = "gmorph-graph-exact v1\ninput 3x8x8\narena 2 1048576\n\
+                    task a 2 accuracy ce\nroots 0\n\
+                    node 0 0 0 1 3x8x8 conv_relu:3:3 1\nnode 1 0 1 0 3x8x8 conv_relu:3:3 0\n";
+        assert!(decode_graph_exact(text).is_err());
+        // A node listed twice as a child would make the walk visit it
+        // twice (and its subtree exponentially often down a chain).
+        let doubled =
+            exact_text_with("conv_relu:4:4").replace("conv_relu:4:4 2", "conv_relu:4:4 2,2");
+        assert!(decode_graph_exact(&doubled).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_zero_windows() {
+        assert!(decode_graph_exact(&exact_text_with("conv_relu:4:4")).is_ok());
+        assert!(decode_graph_exact(VIT_TEXT).is_ok());
+        for spec in [
+            "maxpool:0",
+            "conv_bn_relu:4:4:3:0",
+            "conv_bn_relu:4:4:0:1",
+            "residual:4:4:0",
+            "transformer:8:0",
+            "patch_embed:3:8:0:8",
+        ] {
+            assert!(decode_spec(spec).is_err(), "{spec}");
+            assert!(
+                decode_graph_exact(&exact_text_with(spec)).is_err(),
+                "{spec}"
+            );
+        }
+        let vit = VIT_TEXT.replace("patch_embed:3:8:4:8", "patch_embed:3:8:0:8");
+        assert!(decode_graph_exact(&vit).is_err());
+        // Sizes past the caps are rejected before any arithmetic on them.
+        assert!(decode_spec(&format!("conv_relu:{}:4", usize::MAX)).is_err());
+        assert!(decode_spec(&format!("maxpool:{}", MAX_WINDOW + 1)).is_err());
+        assert!(decode_dims(&format!("3x{}", MAX_WIDTH + 1)).is_err());
+    }
+
+    /// Applies one edit, chosen by the bits of `edit`, to exact-graph
+    /// text: drop a line, swap two tokens, or rewrite a number.
+    fn mutate_text(text: &str, edit: u64) -> String {
+        let pick = |n: usize, shift: u32| (edit >> shift) as usize % n.max(1);
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        match edit % 3 {
+            0 => {
+                let i = pick(lines.len(), 8);
+                lines.remove(i);
+            }
+            1 => {
+                let mut toks: Vec<Vec<String>> = lines
+                    .iter()
+                    .map(|l| l.split(' ').map(str::to_string).collect())
+                    .collect();
+                let slots: Vec<(usize, usize)> = toks
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, l)| (0..l.len()).map(move |j| (i, j)))
+                    .collect();
+                let (a, b) = (slots[pick(slots.len(), 8)], slots[pick(slots.len(), 32)]);
+                let tmp = toks[a.0][a.1].clone();
+                toks[a.0][a.1] = std::mem::replace(&mut toks[b.0][b.1], tmp);
+                lines = toks.into_iter().map(|l| l.join(" ")).collect();
+            }
+            _ => {
+                let joined = lines.join("\n");
+                let runs: Vec<(usize, usize)> = joined
+                    .char_indices()
+                    .filter(|&(i, c)| {
+                        c.is_ascii_digit() && !joined[..i].ends_with(|p: char| p.is_ascii_digit())
+                    })
+                    .map(|(i, _)| {
+                        let len = joined[i..]
+                            .find(|c: char| !c.is_ascii_digit())
+                            .unwrap_or(joined.len() - i);
+                        (i, len)
+                    })
+                    .collect();
+                let (at, len) = runs[pick(runs.len(), 8)];
+                let old: usize = joined[at..at + len].parse().unwrap_or(0);
+                let replacement = match pick(8, 40) {
+                    0 => "0".to_string(),
+                    1 => "1".to_string(),
+                    2 => old.wrapping_add(1).to_string(),
+                    3 => old.saturating_sub(1).to_string(),
+                    4 => (MAX_WIDTH + 1).to_string(),
+                    5 => u64::MAX.to_string(),
+                    6 => "99999999999999999999999".to_string(),
+                    _ => (edit >> 48).to_string(),
+                };
+                let out = format!("{}{replacement}{}", &joined[..at], &joined[at + len..]);
+                return out + "\n";
+            }
+        }
+        lines.join("\n") + "\n"
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_graph_exact_never_panics_on_mutated_text(
+            edits in proptest::collection::vec(0u64..u64::MAX, 1..6),
+            base in 0usize..2,
+        ) {
+            static VGG_TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+            let mut text = match base {
+                0 => VGG_TEXT
+                    .get_or_init(|| encode_graph_exact(&mutated_graph_with_weights().0))
+                    .clone(),
+                _ => VIT_TEXT.to_string(),
+            };
+            for &edit in &edits {
+                text = mutate_text(&text, edit);
+            }
+            if let Ok(g) = decode_graph_exact(&text) {
+                // Whatever decodes is a valid forest.
+                prop_assert!(g.validate().is_ok());
+                prop_assert_eq!(g.topo_order().len(), g.len());
+            }
+        }
+    }
+
     #[test]
     fn decode_rejects_corrupt_headers() {
-        assert!(decode_graph("").is_err());
-        assert!(decode_graph("gmorph-graph v999\n").is_err());
-        assert!(decode_graph("gmorph-graph v1\nnode 0 0 0 - 3x8x8 conv_relu:3:4\n").is_err());
+        assert!(decode_graph_exact("").is_err());
+        assert!(decode_graph_exact("gmorph-graph-exact v999\n").is_err());
+        // The retired portable form is not an exact graph.
+        assert!(decode_graph_exact("gmorph-graph v1\ninput 3x8x8\n").is_err());
+        assert!(
+            decode_graph_exact("gmorph-graph-exact v1\nnode 0 0 0 - 3x8x8 conv_relu:3:4 -\n")
+                .is_err()
+        );
         // Dangling parent reference.
-        let bad = "gmorph-graph v1\ninput 3x8x8\ntask a 2 accuracy ce\nnode 0 0 0 7 3x8x8 conv_relu:3:4\n";
-        assert!(decode_graph(bad).is_err());
+        let bad = "gmorph-graph-exact v1\ninput 3x8x8\narena 8 1000000\ntask a 2 accuracy ce\n\
+                   roots -\nnode 0 0 0 7 3x8x8 conv_relu:3:4 -\n";
+        assert!(decode_graph_exact(bad).is_err());
     }
 }

@@ -1,13 +1,12 @@
 //! Numeric-health layer: gradient clipping, non-finite detection, and
-//! divergence policy for fine-tuning loops.
+//! divergence halting for fine-tuning loops.
 //!
 //! GMorph fine-tunes thousands of *generated* candidate graphs, and merged
 //! networks are well known to destabilize during joint retraining — a NaN
 //! loss or an exploding gradient must be detected the step it happens,
-//! reported as a structured [`NumericEvent`], and handled according to a
-//! configurable [`DivergencePolicy`] instead of silently poisoning the
-//! weights (which inheritance would then spread through the History
-//! Database).
+//! reported as a structured [`NumericEvent`], and halt the candidate
+//! instead of silently poisoning the weights (which inheritance would then
+//! spread through the History Database).
 //!
 //! Three layers of defence, cheapest first:
 //!
@@ -17,8 +16,8 @@
 //!    gradient makes the norm NaN, so the norm doubles as a whole-model
 //!    non-finite probe. Clipping rescales by `max_norm / norm`, a positive
 //!    scalar, so gradient *direction* is preserved exactly.
-//! 3. **Slice scans** ([`observe_slice`]) — O(n) scans of activations or
-//!    weights at low-frequency sites (layer outputs, eval boundaries).
+//! 3. **Slice scans** ([`observe_slice`]) — O(n) scans of activations at
+//!    low-frequency sites (layer outputs, loss kernels).
 //!    Report-only: they never panic, even in debug builds, because the
 //!    search intentionally feeds graphs that may misbehave; containment is
 //!    the supervisor's job, not `assert!`'s.
@@ -33,62 +32,9 @@ use gmorph_tensor::error;
 use gmorph_tensor::TensorError;
 use std::fmt;
 
-/// What a fine-tune loop does when a step diverges (non-finite or
-/// norm above [`HealthConfig::divergence_threshold`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivergencePolicy {
-    /// Zero the gradients and skip this optimizer step; keep training.
-    AbortStep,
-    /// Rescale the gradient down to the clip/divergence bound and proceed
-    /// (only possible while the norm is still finite).
-    Rescale,
-    /// Halt the candidate with a classified non-finite failure so the
-    /// supervisor can retry or quarantine it.
-    HaltCandidate,
-}
-
-impl DivergencePolicy {
-    /// Stable config/CLI name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DivergencePolicy::AbortStep => "abort_step",
-            DivergencePolicy::Rescale => "rescale",
-            DivergencePolicy::HaltCandidate => "halt_candidate",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "abort_step" => DivergencePolicy::AbortStep,
-            "rescale" => DivergencePolicy::Rescale,
-            "halt_candidate" => DivergencePolicy::HaltCandidate,
-            _ => return None,
-        })
-    }
-}
-
-/// Numeric-health knobs threaded into fine-tuning loops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Global-norm gradient clip threshold (`None` disables clipping).
-    pub grad_clip: Option<f32>,
-    /// Gradient norms above this are treated as divergence even when
-    /// finite.
-    pub divergence_threshold: f32,
-    /// What to do when a step diverges.
-    pub policy: DivergencePolicy,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            grad_clip: None,
-            divergence_threshold: 1e6,
-            policy: DivergencePolicy::HaltCandidate,
-        }
-    }
-}
+/// Gradient norms above this are divergence even when finite: the step
+/// halts the candidate exactly as a non-finite norm does.
+const DIVERGENCE_THRESHOLD: f32 = 1e6;
 
 /// Which quantity a [`NumericEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +43,6 @@ pub enum NumericCheck {
     Loss,
     /// A gradient (scanned via its global norm or element-wise).
     Gradient,
-    /// Model weights.
-    Weight,
     /// A layer activation / output.
     Activation,
 }
@@ -109,7 +53,6 @@ impl NumericCheck {
         match self {
             NumericCheck::Loss => "loss",
             NumericCheck::Gradient => "gradient",
-            NumericCheck::Weight => "weight",
             NumericCheck::Activation => "activation",
         }
     }
@@ -269,20 +212,18 @@ pub enum GradVerdict {
     Ok,
     /// Multiply every gradient by this positive factor, then step.
     Clip(f32),
-    /// Zero the gradients and skip the step.
-    AbortStep,
     /// Halt the candidate with this violation.
     Halt(NumericEvent),
 }
 
-/// Classifies a global gradient norm against the health config.
+/// Classifies a global gradient norm against the clip bound `grad_clip`.
 ///
 /// Routine clipping (finite norm above `grad_clip`) bumps the
-/// `health.grad_clip` counter but is not a violation; non-finite or
-/// diverged norms emit an `eval.health` event and are resolved per the
-/// configured [`DivergencePolicy`].
-pub fn grad_verdict(cfg: &HealthConfig, site: &'static str, norm: f32) -> GradVerdict {
-    if !norm.is_finite() {
+/// `health.grad_clip` counter but is not a violation; a non-finite norm or
+/// one above `DIVERGENCE_THRESHOLD` (1e6) emits an `eval.health` event and
+/// halts the candidate, so the supervisor can retry or quarantine it.
+pub fn grad_verdict(grad_clip: Option<f32>, site: &'static str, norm: f32) -> GradVerdict {
+    if !norm.is_finite() || norm > DIVERGENCE_THRESHOLD {
         let event = NumericEvent {
             check: NumericCheck::Gradient,
             site,
@@ -292,35 +233,9 @@ pub fn grad_verdict(cfg: &HealthConfig, site: &'static str, norm: f32) -> GradVe
             value: norm as f64,
         };
         event.emit();
-        return match cfg.policy {
-            DivergencePolicy::HaltCandidate => GradVerdict::Halt(event),
-            // A non-finite norm cannot be rescaled back to health.
-            DivergencePolicy::AbortStep | DivergencePolicy::Rescale => GradVerdict::AbortStep,
-        };
+        return GradVerdict::Halt(event);
     }
-    if norm > cfg.divergence_threshold {
-        let event = NumericEvent {
-            check: NumericCheck::Gradient,
-            site,
-            nan: 0,
-            inf: 0,
-            total: 1,
-            value: norm as f64,
-        };
-        event.emit();
-        return match cfg.policy {
-            DivergencePolicy::HaltCandidate => GradVerdict::Halt(event),
-            DivergencePolicy::AbortStep => GradVerdict::AbortStep,
-            DivergencePolicy::Rescale => {
-                let bound = cfg.grad_clip.unwrap_or(cfg.divergence_threshold);
-                match clip_scale(norm, bound) {
-                    Some(s) => GradVerdict::Clip(s),
-                    None => GradVerdict::AbortStep,
-                }
-            }
-        };
-    }
-    if let Some(max) = cfg.grad_clip {
+    if let Some(max) = grad_clip {
         if let Some(scale) = clip_scale(norm, max) {
             gmorph_telemetry::counter!("health.grad_clip");
             gmorph_telemetry::hist!("health.grad_norm", norm as f64);
@@ -334,14 +249,6 @@ pub fn grad_verdict(cfg: &HealthConfig, site: &'static str, norm: f32) -> GradVe
 mod tests {
     use super::*;
     use gmorph_tensor::Tensor;
-
-    fn cfg(clip: Option<f32>, policy: DivergencePolicy) -> HealthConfig {
-        HealthConfig {
-            grad_clip: clip,
-            divergence_threshold: 1e6,
-            policy,
-        }
-    }
 
     #[test]
     fn scan_counts_nan_and_inf_separately() {
@@ -372,33 +279,32 @@ mod tests {
     #[test]
     fn grad_verdict_follows_policy() {
         // Healthy norm, no clip configured.
-        assert_eq!(
-            grad_verdict(&cfg(None, DivergencePolicy::HaltCandidate), "t", 1.0),
-            GradVerdict::Ok
-        );
+        assert_eq!(grad_verdict(None, "t", 1.0), GradVerdict::Ok);
         // Routine clipping.
-        match grad_verdict(&cfg(Some(0.5), DivergencePolicy::HaltCandidate), "t", 2.0) {
+        match grad_verdict(Some(0.5), "t", 2.0) {
             GradVerdict::Clip(s) => assert!((s - 0.25).abs() < 1e-7),
             v => panic!("expected clip, got {v:?}"),
         }
-        // NaN norm: halt under HaltCandidate, abort-step otherwise.
-        match grad_verdict(&cfg(None, DivergencePolicy::HaltCandidate), "t", f32::NAN) {
-            GradVerdict::Halt(e) => assert_eq!(e.check, NumericCheck::Gradient),
+        // NaN norm halts, clip or no clip.
+        for clip in [None, Some(1.0)] {
+            match grad_verdict(clip, "t", f32::NAN) {
+                GradVerdict::Halt(e) => {
+                    assert_eq!(e.check, NumericCheck::Gradient);
+                    assert_eq!((e.nan, e.inf), (1, 0));
+                }
+                v => panic!("expected halt, got {v:?}"),
+            }
+        }
+        // Finite divergence above the threshold halts too, even when a
+        // clip bound could have rescaled it.
+        match grad_verdict(Some(1.0), "t", 1e7) {
+            GradVerdict::Halt(e) => assert_eq!((e.nan, e.inf, e.value), (0, 0, 1e7)),
             v => panic!("expected halt, got {v:?}"),
         }
         assert_eq!(
-            grad_verdict(&cfg(None, DivergencePolicy::AbortStep), "t", f32::NAN),
-            GradVerdict::AbortStep
+            grad_verdict(None, "t", DIVERGENCE_THRESHOLD),
+            GradVerdict::Ok
         );
-        assert_eq!(
-            grad_verdict(&cfg(None, DivergencePolicy::Rescale), "t", f32::NAN),
-            GradVerdict::AbortStep
-        );
-        // Finite divergence: rescale policy clips down to the bound.
-        match grad_verdict(&cfg(Some(1.0), DivergencePolicy::Rescale), "t", 1e7) {
-            GradVerdict::Clip(s) => assert!(s > 0.0 && s < 1.0),
-            v => panic!("expected clip, got {v:?}"),
-        }
     }
 
     #[test]
@@ -414,17 +320,5 @@ mod tests {
             assert!((a - b * scale).abs() < 1e-7);
             assert_eq!(a.signum(), (b * scale).signum());
         }
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in [
-            DivergencePolicy::AbortStep,
-            DivergencePolicy::Rescale,
-            DivergencePolicy::HaltCandidate,
-        ] {
-            assert_eq!(DivergencePolicy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(DivergencePolicy::parse("yolo"), None);
     }
 }

@@ -34,11 +34,6 @@ impl Optim {
         self.lr
     }
 
-    /// Sets the learning rate.
-    pub fn set_lr(&mut self, new_lr: f32) {
-        self.lr = new_lr;
-    }
-
     /// Advances the step counter; call once per batch before updates.
     pub fn begin_step(&mut self) {
         self.t += 1;
@@ -118,9 +113,7 @@ mod tests {
 
     #[test]
     fn lr_accessors() {
-        let mut opt = Optim::adam(0.01);
+        let opt = Optim::adam(0.01);
         assert!((opt.lr() - 0.01).abs() < 1e-9);
-        opt.set_lr(0.1);
-        assert!((opt.lr() - 0.1).abs() < 1e-9);
     }
 }

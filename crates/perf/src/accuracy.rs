@@ -16,7 +16,7 @@
 use crate::filter::ConvergencePredictor;
 use gmorph_data::{metrics, MultiTaskDataset};
 use gmorph_graph::{AbsGraph, CapacityVector, TreeModel};
-use gmorph_nn::health::{self, GradVerdict, HealthConfig};
+use gmorph_nn::health::{self, GradVerdict};
 use gmorph_nn::loss::weighted_l1_multi;
 use gmorph_nn::optim::Optim;
 use gmorph_nn::Mode;
@@ -37,20 +37,20 @@ pub struct FinetuneConfig {
     pub eval_every: usize,
     /// Target accuracy drop (0.0, 0.01, 0.02 in the evaluation).
     pub target_drop: f32,
-    /// Per-task loss weights (uniform when empty).
-    pub task_weights: Vec<f32>,
     /// Enables predictive early termination.
     pub early_termination: bool,
     /// Seed for shuffling.
     pub seed: u64,
-    /// Numeric-health supervision: gradient clipping, non-finite
-    /// detection, and divergence policy (see [`gmorph_nn::health`]).
-    pub health: HealthConfig,
+    /// Global-norm gradient clip threshold (`None` disables clipping).
+    /// Non-finite and diverged gradients halt the run either way (see
+    /// [`gmorph_nn::health`]).
+    pub grad_clip: Option<f32>,
     /// Per-candidate wall-clock deadline. A fine-tune run past this
     /// budget halts with a classified timeout (checked at epoch
-    /// boundaries). `None` disables the check — the default, because
-    /// wall-clock outcomes are machine-dependent and resume replays must
-    /// stay bit-exact unless the user opts in.
+    /// boundaries, and by the search supervisor after each attempt).
+    /// `None` disables the check — the default, because wall-clock
+    /// outcomes are machine-dependent and resume replays must stay
+    /// bit-exact unless the user opts in.
     pub wall_deadline_ms: Option<u64>,
     /// Fault injection for resilience testing: poisons this run per the
     /// given mode. Set by the supervisor from `GMORPH_FAULT`; never by
@@ -66,10 +66,9 @@ impl Default for FinetuneConfig {
             lr: 1e-3,
             eval_every: 2,
             target_drop: 0.01,
-            task_weights: Vec::new(),
             early_termination: false,
             seed: 0,
-            health: HealthConfig::default(),
+            grad_clip: None,
             wall_deadline_ms: None,
             inject: None,
         }
@@ -187,11 +186,7 @@ pub fn finetune(
             ),
         });
     }
-    let weights = if cfg.task_weights.is_empty() {
-        vec![1.0; n_tasks]
-    } else {
-        cfg.task_weights.clone()
-    };
+    let weights = vec![1.0; n_tasks];
     let n = train_inputs.dims()[0];
     let mut rng = Rng::new(cfg.seed ^ 0xF17E);
     let mut opt = Optim::adam(cfg.lr);
@@ -209,7 +204,7 @@ pub fn finetune(
 
     let started = std::time::Instant::now();
     'outer: for epoch in 1..=cfg.max_epochs {
-        // Deadline and OOM guards run at epoch boundaries: cheap, and a
+        // The deadline is checked at epoch boundaries: cheap, and a
         // pathological candidate is caught within one epoch of tripping.
         if let Some(ms) = cfg.wall_deadline_ms {
             let elapsed = started.elapsed().as_millis() as u64;
@@ -219,12 +214,6 @@ pub fn finetune(
                     format!("wall deadline {ms}ms exceeded ({elapsed}ms) before epoch {epoch}"),
                 ));
             }
-        }
-        if let Some((served, budget)) = gmorph_tensor::buffer::budget_exceeded() {
-            return Err(error::oom_guard(
-                "finetune",
-                format!("pool byte budget {budget} exceeded ({served} served) before epoch {epoch}"),
-            ));
         }
         if cfg.inject == Some(FaultKind::SlowCandidate) {
             std::thread::sleep(std::time::Duration::from_millis(25));
@@ -264,7 +253,7 @@ pub fn finetune(
             // probe (any NaN grad makes the norm NaN) and feeds clipping.
             let mut sq = 0f64;
             model.visit_params(&mut |p| sq += health::grad_sq_sum(p));
-            match health::grad_verdict(&cfg.health, "finetune", sq.sqrt() as f32) {
+            match health::grad_verdict(cfg.grad_clip, "finetune", sq.sqrt() as f32) {
                 GradVerdict::Ok => {
                     opt.begin_step();
                     model.visit_params(&mut |p| opt.update(p));
@@ -273,9 +262,6 @@ pub fn finetune(
                     model.visit_params(&mut |p| health::scale_grad(p, scale));
                     opt.begin_step();
                     model.visit_params(&mut |p| opt.update(p));
-                }
-                GradVerdict::AbortStep => {
-                    model.visit_params(&mut |p| p.zero_grad());
                 }
                 GradVerdict::Halt(event) => return Err(event.to_error()),
             }

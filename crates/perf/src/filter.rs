@@ -68,14 +68,6 @@ impl CapacityRuleFilter {
         &self.failures
     }
 
-    /// Rebuilds a filter from checkpointed failures, preserving order.
-    pub fn from_failures(failures: Vec<CapacityVector>) -> Self {
-        CapacityRuleFilter {
-            failures,
-            quarantined: Vec::new(),
-        }
-    }
-
     /// Rebuilds a filter from checkpointed failures and quarantine
     /// entries, preserving order (resume must replay bit-exactly).
     pub fn from_parts(
@@ -126,11 +118,6 @@ impl CapacityRuleFilter {
         self.failures
             .retain(|old| !old.more_aggressive_than(&cv) && old != &cv);
         self.failures.push(cv);
-    }
-
-    /// True when `cv` should be skipped without fine-tuning.
-    pub fn should_skip(&self, cv: &CapacityVector) -> bool {
-        self.verdict(cv).is_some()
     }
 
     /// Why `cv` would be skipped, or `None` when it passes the filter.
@@ -264,11 +251,14 @@ mod tests {
         assert!(f.is_empty());
         f.record_failure(cv(100, vec![60, 70], vec![40, 50], 20));
         // More aggressive than the failure: skipped.
-        assert!(f.should_skip(&cv(80, vec![50, 60], vec![20, 30], 30)));
+        assert!(f.verdict(&cv(80, vec![50, 60], vec![20, 30], 30)).is_some());
         // Less aggressive: not skipped.
-        assert!(!f.should_skip(&cv(120, vec![70, 80], vec![60, 70], 10)));
+        assert_eq!(f.verdict(&cv(120, vec![70, 80], vec![60, 70], 10)), None);
         // The exact same configuration is skipped too.
-        assert!(f.should_skip(&cv(100, vec![60, 70], vec![40, 50], 20)));
+        assert_eq!(
+            f.verdict(&cv(100, vec![60, 70], vec![40, 50], 20)),
+            Some(FilterVerdict::ExactMatch)
+        );
     }
 
     #[test]
@@ -294,13 +284,13 @@ mod tests {
         // A less aggressive failure subsumes the earlier one.
         f.record_failure(cv(100, vec![60, 70], vec![40, 50], 20));
         assert_eq!(f.len(), 1);
-        assert!(f.should_skip(&cv(80, vec![50, 60], vec![20, 30], 30)));
+        assert!(f.verdict(&cv(80, vec![50, 60], vec![20, 30], 30)).is_some());
     }
 
     #[test]
     fn rule_filter_never_skips_on_empty() {
         let f = CapacityRuleFilter::new();
-        assert!(!f.should_skip(&cv(10, vec![10], vec![10], 0)));
+        assert_eq!(f.verdict(&cv(10, vec![10], vec![10], 0)), None);
     }
 
     #[test]
@@ -329,7 +319,7 @@ mod tests {
             None
         );
         // Quarantine never leaks into the accuracy-failure rule.
-        assert!(!f.should_skip(&cv(100, vec![60, 70], vec![40, 50], 20)));
+        assert_eq!(f.verdict(&cv(100, vec![60, 70], vec![40, 50], 20)), None);
     }
 
     #[test]

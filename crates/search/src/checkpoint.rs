@@ -103,7 +103,7 @@ fn get_scores(r: &mut ByteReader) -> Result<Vec<f32>> {
 }
 
 fn put_elite(w: &mut ByteWriter, e: &Elite) {
-    put_model(w, &e.mini, &e.weights, true);
+    put_model(w, &e.mini, &e.weights);
     w.put_str(&encode_graph_exact(&e.paper));
     w.put_f32(e.drop);
     w.put_f64(e.latency_ms);
@@ -321,7 +321,7 @@ impl SearchSnapshot {
         self.state.encode_into(&mut env);
 
         let mut w = ByteWriter::new();
-        put_model(&mut w, &self.best.mini, &self.best.weights, true);
+        put_model(&mut w, &self.best.mini, &self.best.weights);
         w.put_str(&encode_graph_exact(&self.best.paper));
         w.put_f64(self.best.latency_ms);
         w.put_f32(self.best.drop);

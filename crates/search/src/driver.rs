@@ -22,7 +22,7 @@ use crate::checkpoint::{
 use crate::evaluator::EvalMode;
 use crate::history::{Elite, History};
 use crate::policy::{PolicyKind, SimulatedAnnealing};
-use crate::supervisor::{self, FailureReport, SupervisorConfig};
+use crate::supervisor::{self, SupervisorConfig};
 use gmorph_graph::pairs::{pairs_with, PairPolicy};
 use gmorph_graph::{mutation, AbsGraph, CapacityVector, NodeId, WeightStore};
 use gmorph_perf::accuracy::FinetuneConfig;
@@ -43,6 +43,9 @@ pub enum Objective {
     /// Total paper-scale FLOPs.
     Flops,
 }
+
+/// Virtual-clock sample count (paper-scale representative inputs).
+const VIRTUAL_SAMPLES: u64 = 20_000;
 
 /// Search configuration (the paper's "configuration file", §3).
 #[derive(Debug, Clone)]
@@ -70,8 +73,6 @@ pub struct SearchConfig {
     /// Fine-tuning configuration; `target_drop` is the accuracy threshold
     /// and `early_termination` enables the "+P" variant.
     pub finetune: FinetuneConfig,
-    /// Virtual-clock sample count (paper-scale representative inputs).
-    pub virtual_samples: u64,
     /// Virtual-clock effective training throughput in FLOP/s (the paper's
     /// RTX-8000 assumption by default).
     pub virtual_throughput: f64,
@@ -95,7 +96,6 @@ impl Default for SearchConfig {
             pair_policy: PairPolicy::SimilarShape,
             rule_filter: false,
             finetune: FinetuneConfig::default(),
-            virtual_samples: 20_000,
             virtual_throughput: gmorph_perf::clock::DEFAULT_THROUGHPUT,
             seed: 0,
             supervisor: SupervisorConfig::default(),
@@ -338,7 +338,7 @@ pub fn run_search_checkpointed(
     policy.alpha = cfg.sa_alpha;
     let mut history = History::new(policy.max_elites);
     let mut rule_filter = CapacityRuleFilter::new();
-    let mut clock = VirtualClock::with_throughput(cfg.virtual_samples, cfg.virtual_throughput);
+    let mut clock = VirtualClock::with_throughput(VIRTUAL_SAMPLES, cfg.virtual_throughput);
     let mut trace: Vec<TraceRecord> = Vec::with_capacity(cfg.iterations);
 
     let original_latency_ms = estimate_latency_ms(paper, Backend::Eager)?;
@@ -360,7 +360,7 @@ pub fn run_search_checkpointed(
         rule_filter = cfg.rule_filter,
         early_termination = cfg.finetune.early_termination,
         sa_alpha = cfg.sa_alpha,
-        virtual_samples = cfg.virtual_samples,
+        virtual_samples = VIRTUAL_SAMPLES,
         virtual_throughput = clock.throughput(),
         original_latency_ms = original_latency_ms,
         nodes = mini.len()
@@ -587,43 +587,21 @@ pub fn run_search_checkpointed(
                     let outcome = outcomes
                         .next()
                         .expect("one outcome per evaluated candidate");
-                    // Charge the virtual clock, then apply the
-                    // deterministic virtual-clock deadline: a candidate
-                    // whose fine-tuning cost blew the per-candidate budget
-                    // is a timeout even if it converged.
-                    let clock_before = clock.seconds();
-                    let outcome = match outcome {
+                    // A failing candidate was retried (transient kinds
+                    // only); now it is classified, quarantined, and scored
+                    // as a rejected SA step — never an aborted run.
+                    let evaluation = match outcome {
                         Ok(evaluation) => {
                             let paper_flops = cand_paper.flops()?;
                             clock.charge_finetune(paper_flops, evaluation.result.epochs_run);
                             clock.charge_eval(
                                 paper_flops * evaluation.result.records.len().max(1) as u64,
                             );
-                            let spent_hours = (clock.seconds() - clock_before) / 3600.0;
-                            match cfg.supervisor.virtual_deadline_hours {
-                                Some(limit) if spent_hours > limit => Err(FailureReport {
-                                    kind: gmorph_tensor::FailureKind::Timeout,
-                                    attempts: 1,
-                                    message: format!(
-                                        "virtual cost {spent_hours:.3}h exceeds the \
-                                         {limit:.3}h per-candidate budget"
-                                    ),
-                                }),
-                                _ => Ok(evaluation),
-                            }
+                            evaluation
                         }
                         Err(report) => {
                             // Failed attempts still consumed search time.
                             clock.charge_overhead(2.0 * report.attempts as f64);
-                            Err(report)
-                        }
-                    };
-                    // A failing candidate was retried (transient kinds
-                    // only); now it is classified, quarantined, and scored
-                    // as a rejected SA step — never an aborted run.
-                    let evaluation = match outcome {
-                        Ok(evaluation) => evaluation,
-                        Err(report) => {
                             failed += 1;
                             gmorph_telemetry::counter!("search.failed");
                             gmorph_telemetry::counter!("eval.quarantine");

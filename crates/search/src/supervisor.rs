@@ -9,18 +9,15 @@
 //!
 //! - every attempt runs under `catch_unwind`, so a panicking candidate is
 //!   caught and classified as [`FailureKind::Panic`],
-//! - a wall-clock deadline ([`SupervisorConfig::candidate_deadline_ms`]) is
+//! - a wall-clock deadline ([`FinetuneConfig::wall_deadline_ms`]) is
 //!   enforced both inside the fine-tune loop (epoch granularity) and as a
 //!   post-check here,
-//! - an optional tensor-pool byte budget
-//!   ([`SupervisorConfig::pool_byte_budget`]) arms the OOM guard in
-//!   [`gmorph_tensor::buffer`] for the duration of each attempt,
 //! - *transient* failures (panic, non-finite) are retried up to
-//!   [`SupervisorConfig::max_retries`] times with an exponentially
-//!   backed-off learning rate and a **reseeded** initialization drawn from
-//!   an RNG stream disjoint from the search stream,
-//! - *permanent* failures (timeout, OOM-guard: properties of the graph,
-//!   not of the draw) skip retries entirely,
+//!   [`SupervisorConfig::max_retries`] times with the learning rate halved
+//!   per attempt and a **reseeded** initialization drawn from an RNG
+//!   stream disjoint from the search stream,
+//! - *permanent* failures (timeout: a property of the graph, not of the
+//!   draw) skip retries entirely,
 //! - exhausted candidates come back as a [`FailureReport`] the driver
 //!   quarantines by graph signature.
 //!
@@ -44,36 +41,25 @@ use std::time::Instant;
 use crate::evaluator::{EvalMode, Evaluation};
 use gmorph_graph::{AbsGraph, WeightStore};
 use gmorph_perf::accuracy::FinetuneConfig;
-use gmorph_tensor::buffer;
 use gmorph_tensor::error::{self, FailureKind, FaultSpec};
 use gmorph_tensor::rng::Rng;
+
+/// Learning-rate multiplier applied per retry attempt
+/// (`lr * LR_BACKOFF^attempt`).
+const LR_BACKOFF: f32 = 0.5;
 
 /// Supervision knobs for candidate evaluation.
 ///
 /// The default configuration is *inert*: no retries beyond the two bounded
-/// re-attempts would ever trigger on a healthy candidate, no deadlines, no
-/// byte budget, no fault injection — and attempt 0 uses the main search
-/// RNG, so default-config runs are bit-identical to unsupervised ones.
+/// re-attempts would ever trigger on a healthy candidate, no fault
+/// injection — and attempt 0 uses the main search RNG, so default-config
+/// runs are bit-identical to unsupervised ones. The wall-clock deadline
+/// lives in [`FinetuneConfig::wall_deadline_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Bounded retry attempts after the first try (transient failures
     /// only).
     pub max_retries: usize,
-    /// Per-attempt wall-clock deadline in milliseconds. `None` (default)
-    /// disables the check: wall-clock outcomes are machine-dependent, so
-    /// enabling it trades bit-exact resume for liveness.
-    pub candidate_deadline_ms: Option<u64>,
-    /// Per-candidate virtual-clock budget in hours, checked by the driver
-    /// against the deterministic virtual cost the candidate charged.
-    /// Deterministic — safe to combine with checkpoint/resume.
-    pub virtual_deadline_hours: Option<f64>,
-    /// Learning-rate multiplier applied per retry attempt
-    /// (`lr * backoff^attempt`).
-    pub lr_backoff: f32,
-    /// Tensor-pool byte budget armed during each attempt (the OOM guard).
-    /// Process-global: meaningful at batch size 1, advisory when a round
-    /// of K > 1 candidates is evaluated concurrently.
-    pub pool_byte_budget: Option<usize>,
     /// Fault injection (from `GMORPH_FAULT`): poisons the candidate at the
     /// configured iteration on *every* attempt — a faulty graph stays
     /// faulty, which is what drives it into quarantine.
@@ -84,10 +70,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            candidate_deadline_ms: None,
-            virtual_deadline_hours: None,
-            lr_backoff: 0.5,
-            pool_byte_budget: None,
             fault: None,
         }
     }
@@ -168,23 +150,14 @@ pub fn evaluate_supervised(
         attempts = attempt + 1;
         let mut cfg = finetune.clone();
         if attempt > 0 {
-            cfg.lr = finetune.lr * sup.lr_backoff.powi(attempt as i32);
+            cfg.lr = finetune.lr * LR_BACKOFF.powi(attempt as i32);
         }
-        cfg.wall_deadline_ms = cfg.wall_deadline_ms.or(sup.candidate_deadline_ms);
         if let Some(fault) = sup.fault {
             if fault.at_iter == iter {
                 cfg.inject = Some(fault.kind);
             }
         }
 
-        // Arm the pool OOM guard for this attempt only. The guard is
-        // process-global; resetting the served-bytes counter per attempt
-        // gives each attempt the full budget.
-        let armed = sup.pool_byte_budget.is_some();
-        if armed {
-            buffer::reset_served_bytes();
-            buffer::set_byte_budget(sup.pool_byte_budget);
-        }
         let started = Instant::now();
         let caught = if attempt == 0 {
             // First attempt: the main search stream, bit-compatible with
@@ -201,10 +174,6 @@ pub fn evaluate_supervised(
                 mode.evaluate(candidate, base_weights, &cfg, &mut retry_rng, salt)
             }))
         };
-        if armed {
-            buffer::set_byte_budget(None);
-            buffer::reset_served_bytes();
-        }
 
         let outcome = match caught {
             Ok(res) => res,
@@ -222,7 +191,7 @@ pub fn evaluate_supervised(
         let outcome = match outcome {
             Ok(eval) => {
                 let elapsed_ms = started.elapsed().as_millis() as u64;
-                match sup.candidate_deadline_ms {
+                match finetune.wall_deadline_ms {
                     Some(limit) if elapsed_ms > limit => Err(error::timeout(
                         "supervisor::evaluate",
                         format!("attempt {attempt} took {elapsed_ms}ms, deadline {limit}ms"),
@@ -253,7 +222,7 @@ pub fn evaluate_supervised(
                     transient = kind.is_transient(),
                     will_retry = will_retry,
                     next_lr = if will_retry {
-                        (finetune.lr * sup.lr_backoff.powi(attempt as i32 + 1)) as f64
+                        (finetune.lr * LR_BACKOFF.powi(attempt as i32 + 1)) as f64
                     } else {
                         f64::NAN
                     },
@@ -388,7 +357,6 @@ mod tests {
                 kind: FaultKind::PanicEval,
                 at_iter: 2,
             }),
-            ..Default::default()
         };
         let mut rng = Rng::new(1);
         let report = evaluate_supervised(
@@ -403,16 +371,19 @@ mod tests {
     fn slow_candidate_times_out_without_retry() {
         let (cand, weights, mode) = test_candidate();
         let sup = SupervisorConfig {
-            candidate_deadline_ms: Some(1),
             fault: Some(FaultSpec {
                 kind: FaultKind::SlowCandidate,
                 at_iter: 5,
             }),
             ..Default::default()
         };
+        let finetune = FinetuneConfig {
+            wall_deadline_ms: Some(1),
+            ..cfg()
+        };
         let mut rng = Rng::new(1);
         let report = evaluate_supervised(
-            &mode, &cand, &weights, &cfg(), &sup, 7, 5, &mut rng, 42,
+            &mode, &cand, &weights, &finetune, &sup, 7, 5, &mut rng, 42,
         )
         .unwrap_err();
         assert_eq!(report.kind, FailureKind::Timeout);

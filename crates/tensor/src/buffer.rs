@@ -27,7 +27,7 @@
 //! the hit rate of a run is visible with `--trace`.
 
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicI8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of size buckets (enough for capacities up to 2^47 floats).
@@ -44,52 +44,35 @@ static BUCKETS: [Mutex<Vec<Vec<f32>>>; NBUCKETS] =
     [const { Mutex::new(Vec::new()) }; NBUCKETS];
 static POOLED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// OOM guard: bytes served by [`take`]/[`take_uninit`] since the last
-/// [`reset_served_bytes`], and the optional budget they are checked
-/// against. `usize::MAX` means "no budget" — the accounting adds are
-/// skipped entirely so the default hot path is unchanged.
+/// Served-bytes accounting: bytes served by [`take`]/[`take_uninit`]
+/// since the last [`reset_served_bytes`]. Off by default — the accounting
+/// adds are skipped entirely so the default hot path is unchanged.
 static SERVED_BYTES: AtomicUsize = AtomicUsize::new(0);
-static BYTE_BUDGET: AtomicUsize = AtomicUsize::new(usize::MAX);
+static ACCOUNTING: AtomicBool = AtomicBool::new(false);
 
 #[inline]
 fn note_served(len: usize) {
-    if BYTE_BUDGET.load(Ordering::Relaxed) != usize::MAX {
+    if ACCOUNTING.load(Ordering::Relaxed) {
         SERVED_BYTES.fetch_add(len * 4, Ordering::Relaxed);
     }
 }
 
-/// Installs (or clears, with `None`) the per-evaluation byte budget the
-/// supervisor's OOM guard checks. Process-global, like the pool itself:
-/// intended for the sequential search loop, where the supervisor resets
-/// the counter before each candidate attempt.
+/// Turns served-bytes accounting on (`Some`, whatever the budget) or off
+/// (`None`). Nothing enforces the budget: it only switches on the counter
+/// that [`served_bytes`] reads. Process-global, like the pool itself.
 pub fn set_byte_budget(budget: Option<usize>) {
-    BYTE_BUDGET.store(budget.unwrap_or(usize::MAX), Ordering::Relaxed);
+    ACCOUNTING.store(budget.is_some(), Ordering::Relaxed);
 }
 
-/// The currently-installed OOM-guard budget, if any.
-pub fn byte_budget() -> Option<usize> {
-    match BYTE_BUDGET.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        b => Some(b),
-    }
-}
-
-/// Zeroes the served-bytes counter (call at the start of an attempt).
+/// Zeroes the served-bytes counter.
 pub fn reset_served_bytes() {
     SERVED_BYTES.store(0, Ordering::Relaxed);
 }
 
 /// Bytes served by the pool since the last [`reset_served_bytes`]. Only
-/// accounted while a budget is installed.
+/// accounted while a budget is installed with [`set_byte_budget`].
 pub fn served_bytes() -> usize {
     SERVED_BYTES.load(Ordering::Relaxed)
-}
-
-/// Returns `Some((served, budget))` when the installed budget is blown.
-pub fn budget_exceeded() -> Option<(usize, usize)> {
-    let budget = byte_budget()?;
-    let served = served_bytes();
-    (served > budget).then_some((served, budget))
 }
 
 /// Tri-state enable override: -1 unset (consult env), 0 off, 1 on.
@@ -333,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_guard_trips_only_when_installed() {
+    fn byte_budget_turns_on_accounting() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_enabled(Some(true));
         clear();
@@ -342,21 +325,16 @@ mod tests {
         reset_served_bytes();
         give(take(4096));
         assert_eq!(served_bytes(), 0);
-        assert_eq!(budget_exceeded(), None);
-        // Generous budget: accounting is live, guard stays quiet. Other
-        // tests' concurrent take() calls may also be counted while our
-        // budget is installed, so assertions are lower bounds.
-        set_byte_budget(Some(1 << 40));
+        // Any budget turns accounting on, however small: nothing trips.
+        // Other tests' concurrent take() calls may also be counted while
+        // accounting is on, so assertions are lower bounds.
+        set_byte_budget(Some(1));
         reset_served_bytes();
         give(take(1024));
-        assert!(served_bytes() >= 4096);
-        assert_eq!(budget_exceeded(), None);
-        // Tiny budget: the next allocation must trip the guard.
-        set_byte_budget(Some(1));
         give(take(2048));
-        let (served, budget) = budget_exceeded().expect("guard trips");
-        assert!(served >= 8192 && budget == 1);
+        assert!(served_bytes() >= 4096 + 8192);
         set_byte_budget(None);
+        reset_served_bytes();
         set_enabled(None);
         clear();
     }

@@ -7,16 +7,16 @@
 //! supervisor can retry, reject, or quarantine. This module provides:
 //!
 //! - [`FailureKind`]: the closed classification every failure maps onto
-//!   (panic, non-finite, timeout, OOM-guard, graph, io),
+//!   (panic, non-finite, timeout, graph, io),
 //! - [`FaultSpec`]: `GMORPH_FAULT` fault-injection knobs (the failure-path
 //!   sibling of `GMORPH_CRASH_AFTER` in [`crate::checkpoint`]) used by the
 //!   resilience test-suite and the CI fault-smoke job.
 //!
 //! Transience: a panic or a non-finite excursion can be an unlucky
 //! initialization — retrying with a reseeded init and a smaller learning
-//! rate is worth bounded attempts. A timeout or an OOM-guard trip is a
-//! property of the graph itself (it will be just as slow or as large on the
-//! next attempt), so those are permanent and go straight to quarantine.
+//! rate is worth bounded attempts. A timeout is a property of the graph
+//! itself (it will be just as slow on the next attempt), so it is permanent
+//! and goes straight to quarantine.
 
 use crate::TensorError;
 use std::fmt;
@@ -28,10 +28,8 @@ pub enum FailureKind {
     Panic,
     /// A loss, gradient, or weight went NaN/Inf (or diverged past bounds).
     NonFinite,
-    /// The candidate exceeded its wall-clock or virtual-clock deadline.
+    /// The candidate exceeded its wall-clock deadline.
     Timeout,
-    /// The tensor-pool byte budget was exceeded (OOM guard).
-    OomGuard,
     /// A structural error: bad shapes, ranks, or graph construction.
     Graph,
     /// Serialization or filesystem failure.
@@ -45,28 +43,14 @@ impl FailureKind {
             FailureKind::Panic => "panic",
             FailureKind::NonFinite => "non_finite",
             FailureKind::Timeout => "timeout",
-            FailureKind::OomGuard => "oom_guard",
             FailureKind::Graph => "graph",
             FailureKind::Io => "io",
         }
     }
 
-    /// Inverse of [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "panic" => FailureKind::Panic,
-            "non_finite" => FailureKind::NonFinite,
-            "timeout" => FailureKind::Timeout,
-            "oom_guard" => FailureKind::OomGuard,
-            "graph" => FailureKind::Graph,
-            "io" => FailureKind::Io,
-            _ => return None,
-        })
-    }
-
     /// Whether a retry with reseeded init / smaller LR could plausibly
-    /// succeed. Timeouts and OOM trips are properties of the graph, not of
-    /// the draw, so they are permanent.
+    /// succeed. Timeouts are a property of the graph, not of the draw, so
+    /// they are permanent.
     pub fn is_transient(self) -> bool {
         matches!(self, FailureKind::Panic | FailureKind::NonFinite)
     }
@@ -100,15 +84,6 @@ pub fn timeout(op: &'static str, msg: impl Into<String>) -> TensorError {
 pub fn panic_failure(op: &'static str, msg: impl Into<String>) -> TensorError {
     TensorError::Failed {
         kind: FailureKind::Panic,
-        op,
-        msg: msg.into(),
-    }
-}
-
-/// Shorthand: a classified OOM-guard failure as a [`TensorError`].
-pub fn oom_guard(op: &'static str, msg: impl Into<String>) -> TensorError {
-    TensorError::Failed {
-        kind: FailureKind::OomGuard,
         op,
         msg: msg.into(),
     }
@@ -204,13 +179,17 @@ mod tests {
             FailureKind::Panic,
             FailureKind::NonFinite,
             FailureKind::Timeout,
-            FailureKind::OomGuard,
             FailureKind::Graph,
             FailureKind::Io,
         ] {
-            assert_eq!(FailureKind::parse(kind.as_str()), Some(kind));
+            assert_eq!(kind.to_string(), kind.as_str());
         }
-        assert_eq!(FailureKind::parse("weird"), None);
+        let names = ["panic", "non_finite", "timeout", "graph", "io"];
+        assert_eq!(FailureKind::Panic.as_str(), names[0]);
+        assert_eq!(FailureKind::NonFinite.as_str(), names[1]);
+        assert_eq!(FailureKind::Timeout.as_str(), names[2]);
+        assert_eq!(FailureKind::Graph.as_str(), names[3]);
+        assert_eq!(FailureKind::Io.as_str(), names[4]);
     }
 
     #[test]
@@ -232,7 +211,6 @@ mod tests {
         assert!(FailureKind::Panic.is_transient());
         assert!(FailureKind::NonFinite.is_transient());
         assert!(!FailureKind::Timeout.is_transient());
-        assert!(!FailureKind::OomGuard.is_transient());
     }
 
     #[test]

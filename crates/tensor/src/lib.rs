@@ -84,7 +84,7 @@ pub enum TensorError {
     /// Serialization / deserialization failure.
     Io(String),
     /// A classified evaluation failure (see [`error::FailureKind`]): caught
-    /// panics, numeric-health violations, deadline and OOM-guard trips. The
+    /// panics, numeric-health violations and deadline trips. The
     /// classification rides the ordinary `Result` plumbing so the search
     /// supervisor can decide retry vs quarantine without new signatures.
     Failed {

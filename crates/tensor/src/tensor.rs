@@ -198,11 +198,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Element-wise multiplication.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         self.check_same_shape(other, "add_assign")?;
@@ -413,7 +408,6 @@ mod tests {
         let b = Tensor::from_vec(&[2], vec![3.0, 5.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[3.0, 10.0]);
         let mut c = a.clone();
         c.axpy(2.0, &b).unwrap();
         assert_eq!(c.data(), &[7.0, 12.0]);

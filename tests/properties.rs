@@ -462,3 +462,106 @@ fn serving_tasks_cover_every_head_path() {
         }
     }
 }
+
+// --- Text parsers never panic on user-supplied files ---
+
+use gmorph::configfile;
+use gmorph::search::{load_trace, save_trace};
+
+/// Applies `edits` to `base`, each one chosen by the bits of a draw:
+/// insert one of `fragments` at some position, or delete a short run.
+/// Fragments of the grammar reach the parsers' deeper states far more
+/// often than uniform random bytes would.
+fn splice(base: &str, edits: &[u64], fragments: &[String]) -> String {
+    let mut text = base.to_string();
+    for &e in edits {
+        let mut at = (e >> 16) as usize % (text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        if e >> 63 == 1 {
+            let mut end = (at + 1 + ((e >> 8) & 0x3f) as usize).min(text.len());
+            while !text.is_char_boundary(end) {
+                end += 1;
+            }
+            text.replace_range(at..end, "");
+        } else {
+            text.insert_str(at, &fragments[(e & 0xffff) as usize % fragments.len()]);
+        }
+    }
+    text
+}
+
+/// JSON and config-file tokens, plus `words` and two deep nestings.
+fn fragments(words: &[&str]) -> Vec<String> {
+    let tokens = "[ ] { } \" : , = # - . e 0 7 1e999 -1 18446744073709551616 \\ \\u \\u00e9 \
+                  \\ud800 null true false é \u{1F600} NaN inf";
+    let mut out: Vec<String> = tokens
+        .split_whitespace()
+        .chain(words.iter().copied())
+        .chain(["\n", " "])
+        .map(str::to_string)
+        .collect();
+    out.push("[".repeat(70));
+    out.push("{\"a\":".repeat(70));
+    out
+}
+
+/// A valid trace file's text: the B1 checkpoint fixture's reference run.
+fn valid_trace_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (_, _, reference) = B1_FIX.get_or_init(|| checkpoint_session(BenchId::B1, 17));
+        let path = std::env::temp_dir().join(format!(
+            "gmorph-prop-trace-base-{}.trace.jsonl",
+            std::process::id()
+        ));
+        save_trace(&path, reference).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `load_trace` (what `gmorph trace-validate` and `trace-diff` read)
+    /// returns an error, never panics, on damaged traces and on noise.
+    #[test]
+    fn load_trace_never_panics(
+        edits in proptest::collection::vec(0u64..u64::MAX, 1..12),
+        from_valid in 0usize..2,
+    ) {
+        let base = if from_valid == 1 { valid_trace_text() } else { "" };
+        let words = [
+            "\"kind\"", "\"trace_meta\"", "\"trace_record\"", "\"iterations\"",
+            "\"status\"", "\"iter\"", "\"drop\"", "\"evaluated\"",
+        ];
+        let text = splice(base, &edits, &fragments(&words));
+        let path = std::env::temp_dir().join(format!(
+            "gmorph-prop-trace-{}.trace.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, &text).unwrap();
+        let _ = load_trace(&path);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The `--config` file parser returns an error, never panics.
+    #[test]
+    fn configfile_parse_never_panics(
+        edits in proptest::collection::vec(0u64..u64::MAX, 1..12),
+        from_valid in 0usize..2,
+    ) {
+        let valid = "metric = latency\naccuracy_threshold = 0.02\niterations = 50\n\
+                     mode = real\nseed = 3\ngrad_clip = 1.5\ncandidate_deadline_ms = 10\n\
+                     # comment\nrule_filter = true\npolicy = sa\n";
+        let base = if from_valid == 1 { valid } else { "" };
+        let words = [
+            "metric", "latency", "iterations", "mode", "real", "seed", "lr", "grad_clip",
+            "max_epochs", "candidate_deadline_ms", "batch", "pair_policy", "any",
+        ];
+        let _ = configfile::parse(&splice(base, &edits, &fragments(&words)));
+    }
+}
