@@ -98,9 +98,7 @@ fn bench_interp(c: &mut Criterion) {
     let mut rng = Rng::new(3);
     let x = Tensor::randn(&[8, 16, 8, 8], 1.0, &mut rng);
     c.bench_function("bilinear-8x16x8x8-to-16x16", |bench| {
-        bench.iter(|| {
-            resize2d_forward(black_box(&x), 16, 16, InterpMode::Bilinear).unwrap()
-        })
+        bench.iter(|| resize2d_forward(black_box(&x), 16, 16, InterpMode::Bilinear).unwrap())
     });
 }
 

@@ -56,14 +56,10 @@ fn bench_search_variants(c: &mut Criterion) {
         })
     });
     g.bench_function("gmorph-p", |b| {
-        b.iter(|| {
-            run_search(&mini, &paper, &weights, &mode, &config(false, true)).unwrap()
-        })
+        b.iter(|| run_search(&mini, &paper, &weights, &mode, &config(false, true)).unwrap())
     });
     g.bench_function("gmorph-p-r", |b| {
-        b.iter(|| {
-            run_search(&mini, &paper, &weights, &mode, &config(true, true)).unwrap()
-        })
+        b.iter(|| run_search(&mini, &paper, &weights, &mode, &config(true, true)).unwrap())
     });
     g.finish();
 }

@@ -102,8 +102,19 @@ fn main() -> ExitCode {
         }
     };
     let all = [
-        "kernels", "alloc", "table6", "fig1", "fig2", "fig3", "fig7", "fig8", "table3",
-        "table4", "fig9", "ablations", "batched",
+        "kernels",
+        "alloc",
+        "table6",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig7",
+        "fig8",
+        "table3",
+        "table4",
+        "fig9",
+        "ablations",
+        "batched",
     ];
     let to_run: Vec<String> = if exps.iter().any(|e| e == "all") {
         all.iter().map(|s| s.to_string()).collect()

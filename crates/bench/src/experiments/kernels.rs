@@ -80,9 +80,7 @@ fn conv_records(opts: &ExperimentOpts, records: &mut Vec<Record>) {
                 shape: "8x8x16x16/k3s1p1".to_string(),
                 threads,
                 ns_per_iter: time_ns(iters, samples, || {
-                    black_box(
-                        conv2d_forward(black_box(&x), black_box(&w), None, geom).unwrap(),
-                    );
+                    black_box(conv2d_forward(black_box(&x), black_box(&w), None, geom).unwrap());
                 }),
             });
         });
@@ -95,7 +93,10 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     gemm_records(opts, &mut records);
     conv_records(opts, &mut records);
 
-    println!("{:<14} {:>16} {:>8} {:>14}", "op", "shape", "threads", "ns/iter");
+    println!(
+        "{:<14} {:>16} {:>8} {:>14}",
+        "op", "shape", "threads", "ns/iter"
+    );
     let mut json = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         println!(

@@ -273,7 +273,9 @@ impl Block {
         match (from.len(), to.len()) {
             (3, 3) => {
                 let proj = if from[0] != to[0] {
-                    Some(RescaleProj::Conv(Conv2d::new(from[0], to[0], 1, 1, 0, rng)?))
+                    Some(RescaleProj::Conv(Conv2d::new(
+                        from[0], to[0], 1, 1, 0, rng,
+                    )?))
                 } else {
                     None
                 };
@@ -337,9 +339,7 @@ impl Block {
         match self {
             Block::ConvRelu { conv, .. } => conv.out_shape(in_shape),
             Block::ConvBnRelu { conv, .. } => conv.out_shape(in_shape),
-            Block::Residual { conv1, conv2, .. } => {
-                conv2.out_shape(&conv1.out_shape(in_shape)?)
-            }
+            Block::Residual { conv1, conv2, .. } => conv2.out_shape(&conv1.out_shape(in_shape)?),
             Block::MaxPool { k, .. } => {
                 if in_shape.len() != 3 || in_shape[1] < *k || in_shape[2] < *k {
                     return Err(TensorError::InvalidArgument {
@@ -434,10 +434,7 @@ impl Block {
                 conv_flops(conv, &out) + 3 * numel(&out)
             }
             Block::Residual {
-                conv1,
-                conv2,
-                down,
-                ..
+                conv1, conv2, down, ..
             } => {
                 let mid = conv1.out_shape(in_shape)?;
                 let out = conv2.out_shape(&mid)?;
@@ -452,8 +449,8 @@ impl Block {
                 let (t, d) = (in_shape[0] as u64, in_shape[1] as u64);
                 let qkv = 4 * 2 * t * d * d; // Wq, Wk, Wv, Wo.
                 let scores = 2 * 2 * t * t * d; // QKᵀ and A·V.
-                let mlp = 2 * t * d * fc1.out_features() as u64
-                    + 2 * t * fc2.in_features() as u64 * d;
+                let mlp =
+                    2 * t * d * fc1.out_features() as u64 + 2 * t * fc2.in_features() as u64 * d;
                 qkv + scores + mlp + 8 * t * d
             }
             Block::PatchEmbedB(pe) => {
@@ -469,13 +466,13 @@ impl Block {
                 let mut f = 4 * numel(target);
                 match proj {
                     Some(RescaleProj::Conv(c)) => {
-                        f += 2 * numel(&target[1..])
+                        f += 2
+                            * numel(&target[1..])
                             * c.in_channels() as u64
                             * c.out_channels() as u64;
                     }
                     Some(RescaleProj::Linear(l)) => {
-                        f += 2 * target[0] as u64
-                            * (l.in_features() * l.out_features()) as u64;
+                        f += 2 * target[0] as u64 * (l.in_features() * l.out_features()) as u64;
                     }
                     None => {}
                 }
@@ -595,8 +592,7 @@ impl Block {
                         for s in 0..n {
                             for tok in 0..t {
                                 for j in 0..d {
-                                    out.data_mut()[s * d + j] +=
-                                        x.data()[(s * t + tok) * d + j];
+                                    out.data_mut()[s * d + j] += x.data()[(s * t + tok) * d + j];
                                 }
                             }
                         }
@@ -623,8 +619,7 @@ impl Block {
                 ..
             } => match target.len() {
                 3 => {
-                    let resized =
-                        resize2d_forward(x, target[1], target[2], InterpMode::Bilinear)?;
+                    let resized = resize2d_forward(x, target[1], target[2], InterpMode::Bilinear)?;
                     let mid_dims = resized.dims().to_vec();
                     let y = match proj {
                         Some(RescaleProj::Conv(c)) => c.forward(&resized, mode)?,
@@ -645,14 +640,13 @@ impl Block {
                     // Interpolate the token axis by viewing [N, 1, T, D].
                     let (n, t_in, d_in) = (x.dims()[0], x.dims()[1], x.dims()[2]);
                     let x4 = x.reshape(&[n, 1, t_in, d_in])?;
-                    let resized =
-                        resize2d_forward(&x4, target[0], d_in, InterpMode::Bilinear)?;
+                    let resized = resize2d_forward(&x4, target[0], d_in, InterpMode::Bilinear)?;
                     let mid = resized.reshape(&[n * target[0], d_in])?;
                     let mid_dims = vec![n, 1, t_in, d_in];
                     let y = match proj {
-                        Some(RescaleProj::Linear(l)) => l
-                            .forward(&mid, mode)?
-                            .reshape(&[n, target[0], target[1]])?,
+                        Some(RescaleProj::Linear(l)) => {
+                            l.forward(&mid, mode)?.reshape(&[n, target[0], target[1]])?
+                        }
                         Some(RescaleProj::Conv(_)) => {
                             return Err(TensorError::InvalidArgument {
                                 op: "Rescale::forward",
@@ -796,8 +790,7 @@ impl Block {
                         let n = in_dims[0];
                         let g = match proj {
                             Some(RescaleProj::Linear(l)) => {
-                                let g2 =
-                                    grad_y.reshape(&[n * target[0], target[1]])?;
+                                let g2 = grad_y.reshape(&[n * target[0], target[1]])?;
                                 l.backward(&g2)?
                             }
                             _ => grad_y.reshape(&[n * target[0], in_dims[2]])?,
@@ -1099,11 +1092,9 @@ impl Block {
     /// Short human-readable description used by graph visualization.
     pub fn describe(&self) -> String {
         match self {
-            Block::ConvRelu { conv, .. } => format!(
-                "Conv+ReLU({}→{})",
-                conv.in_channels(),
-                conv.out_channels()
-            ),
+            Block::ConvRelu { conv, .. } => {
+                format!("Conv+ReLU({}→{})", conv.in_channels(), conv.out_channels())
+            }
             Block::ConvBnRelu { conv, .. } => format!(
                 "Conv+BN+ReLU({}→{},s{})",
                 conv.in_channels(),
@@ -1126,11 +1117,9 @@ impl Block {
             Block::TokenEmbedB(te) => {
                 format!("TokenEmbed(v={},d={})", te.vocab(), te.width())
             }
-            Block::Head { linear, .. } => format!(
-                "Head({}→{})",
-                linear.in_features(),
-                linear.out_features()
-            ),
+            Block::Head { linear, .. } => {
+                format!("Head({}→{})", linear.in_features(), linear.out_features())
+            }
             Block::Rescale { target, .. } => format!("Rescale(→{target:?})"),
         }
     }

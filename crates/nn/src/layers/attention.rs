@@ -140,7 +140,14 @@ impl MultiHeadAttention {
             y2.data(),
         );
         if mode == Mode::Train {
-            self.cache = Some(AttnCache { q, k, v, probs, n, t });
+            self.cache = Some(AttnCache {
+                q,
+                k,
+                v,
+                probs,
+                n,
+                t,
+            });
         }
         y2.reshape(&[n, t, d])
     }
@@ -162,23 +169,22 @@ impl MultiHeadAttention {
         // same decomposition as forward, so results are thread-count
         // independent.
         let heads = self.heads;
-        let per_head =
-            engine::parallel_map(n * heads, |i| -> Result<(Tensor, Tensor, Tensor)> {
-                let (s, h) = (i / heads, i % heads);
-                let a = &cache.probs[s * heads + h];
-                let gout = Self::head_slice(&gctx, s, t, h, dh);
-                let qh = Self::head_slice(&cache.q, s, t, h, dh);
-                let kh = Self::head_slice(&cache.k, s, t, h, dh);
-                let vh = Self::head_slice(&cache.v, s, t, h, dh);
-                // dV = Aᵀ · dOut, dA = dOut · Vᵀ.
-                let gvh = gemm::matmul_tn(a, &gout)?;
-                let ga = gemm::matmul_nt(&gout, &vh)?;
-                // Back through softmax, then dQ = dS·K·scale, dK = dSᵀ·Q·scale.
-                let gs = softmax_rows_backward(&ga, a)?;
-                let gqh = gemm::matmul(&gs, &kh)?.scale(scale);
-                let gkh = gemm::matmul_tn(&gs, &qh)?.scale(scale);
-                Ok((gqh, gkh, gvh))
-            });
+        let per_head = engine::parallel_map(n * heads, |i| -> Result<(Tensor, Tensor, Tensor)> {
+            let (s, h) = (i / heads, i % heads);
+            let a = &cache.probs[s * heads + h];
+            let gout = Self::head_slice(&gctx, s, t, h, dh);
+            let qh = Self::head_slice(&cache.q, s, t, h, dh);
+            let kh = Self::head_slice(&cache.k, s, t, h, dh);
+            let vh = Self::head_slice(&cache.v, s, t, h, dh);
+            // dV = Aᵀ · dOut, dA = dOut · Vᵀ.
+            let gvh = gemm::matmul_tn(a, &gout)?;
+            let ga = gemm::matmul_nt(&gout, &vh)?;
+            // Back through softmax, then dQ = dS·K·scale, dK = dSᵀ·Q·scale.
+            let gs = softmax_rows_backward(&ga, a)?;
+            let gqh = gemm::matmul(&gs, &kh)?.scale(scale);
+            let gkh = gemm::matmul_tn(&gs, &qh)?.scale(scale);
+            Ok((gqh, gkh, gvh))
+        });
 
         let mut gq = Tensor::zeros(&[n * t, d]);
         let mut gk = Tensor::zeros(&[n * t, d]);
@@ -312,7 +318,11 @@ mod tests {
         let (y1, g1) = run(1);
         let (y4, g4) = run(4);
         assert_eq!(y1.data(), y4.data(), "forward differs across thread counts");
-        assert_eq!(g1.data(), g4.data(), "backward differs across thread counts");
+        assert_eq!(
+            g1.data(),
+            g4.data(),
+            "backward differs across thread counts"
+        );
     }
 
     #[test]

@@ -70,8 +70,13 @@ impl Conv2d {
         } else {
             Activation::None
         };
-        let mut fwd =
-            conv2d_forward_act(x, &self.weight.value, Some(&self.bias.value), self.geom, act)?;
+        let mut fwd = conv2d_forward_act(
+            x,
+            &self.weight.value,
+            Some(&self.bias.value),
+            self.geom,
+            act,
+        )?;
         // Backward only needs the cached im2col columns, not the output:
         // move the output out instead of cloning it.
         let out = std::mem::replace(&mut fwd.output, Tensor::zeros(&[0]));
@@ -94,8 +99,7 @@ impl Conv2d {
             .cache
             .as_ref()
             .ok_or_else(|| missing_cache("Conv2d::backward"))?;
-        let grads =
-            conv2d_backward_geom(grad_y, &self.weight.value, input_dims, fwd, self.geom)?;
+        let grads = conv2d_backward_geom(grad_y, &self.weight.value, input_dims, fwd, self.geom)?;
         self.weight.accumulate(&grads.grad_weight)?;
         self.bias.accumulate(&grads.grad_bias)?;
         Ok(grads.grad_input)

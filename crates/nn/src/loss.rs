@@ -193,8 +193,7 @@ mod tests {
             pp.data_mut()[i] += eps;
             let mut pm = p.clone();
             pm.data_mut()[i] -= eps;
-            let num =
-                (mse_loss(&pp, &t).unwrap().0 - mse_loss(&pm, &t).unwrap().0) / (2.0 * eps);
+            let num = (mse_loss(&pp, &t).unwrap().0 - mse_loss(&pm, &t).unwrap().0) / (2.0 * eps);
             assert!((num - g.data()[i]).abs() < 1e-3);
         }
     }
@@ -220,8 +219,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_perfect_prediction_has_low_loss() {
-        let logits =
-            Tensor::from_vec(&[2, 2], vec![10.0, -10.0, -10.0, 10.0]).unwrap();
+        let logits = Tensor::from_vec(&[2, 2], vec![10.0, -10.0, -10.0, 10.0]).unwrap();
         let (l, _) = cross_entropy(&logits, &[0, 1]).unwrap();
         assert!(l < 1e-4);
     }
@@ -237,8 +235,7 @@ mod tests {
     fn bce_gradcheck_and_stability() {
         let mut rng = Rng::new(2);
         let logits = Tensor::randn(&[2, 3], 2.0, &mut rng);
-        let targets =
-            Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0]).unwrap();
+        let targets = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0]).unwrap();
         let (_, g) = bce_with_logits(&logits, &targets).unwrap();
         let eps = 1e-3;
         for i in 0..6 {
@@ -264,12 +261,7 @@ mod tests {
         let t1 = Tensor::zeros(&[2]);
         let p2 = Tensor::full(&[2], 2.0);
         let t2 = Tensor::zeros(&[2]);
-        let (l, grads) = weighted_l1_multi(
-            &[p1, p2],
-            &[t1, t2],
-            &[1.0, 0.5],
-        )
-        .unwrap();
+        let (l, grads) = weighted_l1_multi(&[p1, p2], &[t1, t2], &[1.0, 0.5]).unwrap();
         assert!((l - (1.0 + 0.5 * 2.0)).abs() < 1e-6);
         assert_eq!(grads.len(), 2);
         assert_eq!(grads[0].data(), &[0.5, 0.5]);

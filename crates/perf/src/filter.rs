@@ -103,9 +103,10 @@ impl CapacityRuleFilter {
         signature: &str,
         cv: &CapacityVector,
     ) -> Option<FilterVerdict> {
-        let hit = self.quarantined.iter().any(|(s, q)| {
-            s == signature || cv == q || cv.more_aggressive_than(q)
-        });
+        let hit = self
+            .quarantined
+            .iter()
+            .any(|(s, q)| s == signature || cv == q || cv.more_aggressive_than(q));
         hit.then_some(FilterVerdict::Quarantined)
     }
 
@@ -296,7 +297,10 @@ mod tests {
     #[test]
     fn quarantine_matches_signature_and_capacity() {
         let mut f = CapacityRuleFilter::new();
-        assert_eq!(f.quarantine_verdict("g1", &cv(10, vec![10], vec![10], 0)), None);
+        assert_eq!(
+            f.quarantine_verdict("g1", &cv(10, vec![10], vec![10], 0)),
+            None
+        );
         f.record_quarantine("g1".into(), cv(100, vec![60, 70], vec![40, 50], 20));
         // Same signature, regardless of capacity.
         assert_eq!(
@@ -328,10 +332,8 @@ mod tests {
         f.record_quarantine("g1".into(), cv(10, vec![10], vec![10], 0));
         f.record_quarantine("g1".into(), cv(10, vec![10], vec![10], 0));
         assert_eq!(f.quarantined().len(), 1);
-        let restored = CapacityRuleFilter::from_parts(
-            f.failures().to_vec(),
-            f.quarantined().to_vec(),
-        );
+        let restored =
+            CapacityRuleFilter::from_parts(f.failures().to_vec(), f.quarantined().to_vec());
         assert_eq!(
             restored.quarantine_verdict("g1", &cv(10, vec![10], vec![10], 0)),
             Some(FilterVerdict::Quarantined)

@@ -34,11 +34,9 @@ pub mod supervisor;
 
 pub use batched::{run_search_batched, BatchedResult};
 pub use checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
-pub use driver::{
-    run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord,
-};
-pub use persist::{load_trace, save_trace, TraceMeta};
+pub use driver::{run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord};
 pub use evaluator::{EvalMode, RealContext, SurrogateContext};
-pub use supervisor::{FailureReport, SupervisorConfig};
 pub use history::{Elite, History};
+pub use persist::{load_trace, save_trace, TraceMeta};
 pub use policy::{PolicyKind, SimulatedAnnealing};
+pub use supervisor::{FailureReport, SupervisorConfig};

@@ -137,10 +137,7 @@ mod tests {
             }
         }
         // Elite counts above capacity saturate.
-        assert_eq!(
-            p.elite_probability(100, 16),
-            p.elite_probability(100, 40)
-        );
+        assert_eq!(p.elite_probability(100, 16), p.elite_probability(100, 40));
     }
 
     #[test]

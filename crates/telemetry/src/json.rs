@@ -283,17 +283,14 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err("truncated \\u escape".to_string());
                             }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|_| "bad \\u escape".to_string())?;
+                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                                .map_err(|_| "bad \\u escape".to_string())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
-                        other => {
-                            return Err(format!("unknown escape \\{}", other as char))
-                        }
+                        other => return Err(format!("unknown escape \\{}", other as char)),
                     }
                 }
                 _ => return Err("unterminated string".to_string()),

@@ -256,8 +256,8 @@ pub fn conv2d_forward_act(
         im2col_single(img, c_in, h, w, geom, oh, ow, &mut col);
         let col_t = Tensor::from_vec(&[c_in * k * k, oh * ow], col)?;
         let mut y = gemm::matmul(&wmat, &col_t)?; // [c_out, oh*ow]
-        // Fused epilogue: bias-add and activation while writing each
-        // channel row, instead of separate passes over the output.
+                                                  // Fused epilogue: bias-add and activation while writing each
+                                                  // channel row, instead of separate passes over the output.
         if bias.is_some() || act != Activation::None {
             let ncols = oh * ow;
             let yd = y.data_mut();
@@ -335,12 +335,7 @@ pub fn conv2d_backward_geom(
     forward: &Conv2dForward,
     geom: Conv2dGeom,
 ) -> Result<Conv2dGrads> {
-    let (n, c_in, h, w) = (
-        input_dims[0],
-        input_dims[1],
-        input_dims[2],
-        input_dims[3],
-    );
+    let (n, c_in, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
     let (c_out, k) = (weight.dims()[0], weight.dims()[2]);
     let (oh, ow) = (forward.oh, forward.ow);
     if grad_output.dims() != [n, c_out, oh, ow] {
@@ -359,8 +354,7 @@ pub fn conv2d_backward_geom(
     let gi_len = c_in * h * w;
     // grad_input is fully written sample by sample; pooled uncleared
     // storage is fine.
-    let mut grad_input =
-        Tensor::from_vec(&[n, c_in, h, w], buffer::take_uninit(n * gi_len))?;
+    let mut grad_input = Tensor::from_vec(&[n, c_in, h, w], buffer::take_uninit(n * gi_len))?;
 
     // Per-sample gradients are independent; compute them across the pool
     // and reduce serially afterwards in ascending sample order, so the
@@ -434,20 +428,14 @@ mod tests {
                         for ci in 0..c_in {
                             for ky in 0..k {
                                 for kx in 0..k {
-                                    let iy = (oy * geom.stride + ky) as isize
-                                        - geom.padding as isize;
-                                    let ix = (ox * geom.stride + kx) as isize
-                                        - geom.padding as isize;
-                                    if iy < 0
-                                        || ix < 0
-                                        || iy as usize >= h
-                                        || ix as usize >= w
-                                    {
+                                    let iy =
+                                        (oy * geom.stride + ky) as isize - geom.padding as isize;
+                                    let ix =
+                                        (ox * geom.stride + kx) as isize - geom.padding as isize;
+                                    if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
                                         continue;
                                     }
-                                    acc += input
-                                        .at(&[s, ci, iy as usize, ix as usize])
-                                        .unwrap()
+                                    acc += input.at(&[s, ci, iy as usize, ix as usize]).unwrap()
                                         * weight.at(&[co, ci, ky, kx]).unwrap();
                                 }
                             }
@@ -547,8 +535,14 @@ mod tests {
             wp.data_mut()[flat] += eps;
             let mut wm = w.clone();
             wm.data_mut()[flat] -= eps;
-            let lp = conv2d_forward(&x, &wp, Some(&b), geom).unwrap().output.sum();
-            let lm = conv2d_forward(&x, &wm, Some(&b), geom).unwrap().output.sum();
+            let lp = conv2d_forward(&x, &wp, Some(&b), geom)
+                .unwrap()
+                .output
+                .sum();
+            let lm = conv2d_forward(&x, &wm, Some(&b), geom)
+                .unwrap()
+                .output
+                .sum();
             let num = (lp - lm) / (2.0 * eps);
             let ana = grads.grad_weight.data()[flat];
             assert!((num - ana).abs() < 0.05, "dW[{flat}]: {num} vs {ana}");
@@ -559,8 +553,14 @@ mod tests {
             xp.data_mut()[flat] += eps;
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let lp = conv2d_forward(&xp, &w, Some(&b), geom).unwrap().output.sum();
-            let lm = conv2d_forward(&xm, &w, Some(&b), geom).unwrap().output.sum();
+            let lp = conv2d_forward(&xp, &w, Some(&b), geom)
+                .unwrap()
+                .output
+                .sum();
+            let lm = conv2d_forward(&xm, &w, Some(&b), geom)
+                .unwrap()
+                .output
+                .sum();
             let num = (lp - lm) / (2.0 * eps);
             let ana = grads.grad_input.data()[flat];
             assert!((num - ana).abs() < 0.05, "dX[{flat}]: {num} vs {ana}");

@@ -142,7 +142,11 @@ fn pack_b(bd: &[f32], layout: Layout, k: usize, n: usize, p0: usize, kb: usize, 
                 for p in 0..kb {
                     let dst = &mut strip[p * NR..p * NR + NR];
                     for (c, d) in dst.iter_mut().enumerate() {
-                        *d = if c < cols { bd[(j0 + c) * k + p0 + p] } else { 0.0 };
+                        *d = if c < cols {
+                            bd[(j0 + c) * k + p0 + p]
+                        } else {
+                            0.0
+                        };
                     }
                 }
             }
@@ -251,7 +255,15 @@ fn gemm_blocked(
             *boff = off;
             let p0 = b * KC;
             let kb = KC.min(k - p0);
-            pack_b(bd, b_layout, k, n, p0, kb, &mut bp[off..off + n_strips * kb * NR]);
+            pack_b(
+                bd,
+                b_layout,
+                k,
+                n,
+                p0,
+                kb,
+                &mut bp[off..off + n_strips * kb * NR],
+            );
             off += n_strips * kb * NR;
         }
         block_off[k_blocks] = off;
@@ -414,7 +426,16 @@ pub fn matmul_bias_act(
     if !epi.is_noop() {
         gmorph_telemetry::counter!("kernel.fused_dispatch");
     }
-    let out = gemm_dispatch(a.data(), Layout::Normal, b.data(), Layout::Normal, m, k, n, epi);
+    let out = gemm_dispatch(
+        a.data(),
+        Layout::Normal,
+        b.data(),
+        Layout::Normal,
+        m,
+        k,
+        n,
+        epi,
+    );
     record_gemm(m, k, n, start);
     Tensor::from_vec(&[m, n], out)
 }
@@ -502,7 +523,14 @@ pub mod naive {
     use crate::Result;
 
     /// `C += A · B` in `i-k-j` (axpy) order over raw row-major slices.
-    pub(crate) fn matmul_into(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    pub(crate) fn matmul_into(
+        ad: &[f32],
+        bd: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
         for i in 0..m {
             let arow = &ad[i * k..(i + 1) * k];
             let orow = &mut out[i * n..(i + 1) * n];

@@ -377,7 +377,10 @@ fn corrupted_checkpoints_fall_back_never_panic() {
             reference.trace.len(),
             "{damage:?}: trace length"
         );
-        assert_eq!(resumed.evaluated, reference.evaluated, "{damage:?}: evaluated");
+        assert_eq!(
+            resumed.evaluated, reference.evaluated,
+            "{damage:?}: evaluated"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
