@@ -29,27 +29,9 @@ impl Optim {
         }
     }
 
-    /// Returns the learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Advances the step counter; call once per batch before updates.
     pub fn begin_step(&mut self) {
         self.t += 1;
-    }
-
-    /// Adam's bias-correction step counter.
-    ///
-    /// Checkpointed alongside the per-parameter moments: a resumed run
-    /// must continue the bias-correction schedule where it left off.
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
-    /// Restores the step counter from a checkpoint.
-    pub fn set_step_count(&mut self, steps: u64) {
-        self.t = steps;
     }
 
     /// Applies the update rule to one parameter and zeroes its gradient.
@@ -109,11 +91,5 @@ mod tests {
         opt.begin_step();
         opt.update(&mut p);
         assert_eq!(p.grad.sum(), 0.0);
-    }
-
-    #[test]
-    fn lr_accessors() {
-        let opt = Optim::adam(0.01);
-        assert!((opt.lr() - 0.01).abs() < 1e-9);
     }
 }

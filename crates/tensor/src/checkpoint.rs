@@ -1,8 +1,8 @@
 //! Crash-safe checkpoint container: a versioned, checksummed, atomic
 //! on-disk envelope, the one file format of the workspace.
 //!
-//! Higher layers (search and teacher-training snapshots, cached teacher
-//! weights, saved fused models) serialize themselves into named binary
+//! Higher layers (search snapshots, cached teacher weights, saved fused
+//! models) serialize themselves into named binary
 //! *sections*; this module owns everything that makes the result durable
 //! and trustworthy:
 //!
@@ -361,7 +361,7 @@ impl<'a> ByteReader<'a> {
 /// A decoded checkpoint: payload identity plus named sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// Payload kind (e.g. `"search"`, `"batched"`, `"teacher"`).
+    /// Payload kind (e.g. `"search"`, `"teacher_weights"`, `"fused_model"`).
     pub kind: String,
     /// Payload schema version, owned by the writer of `kind`.
     pub schema: u32,
@@ -692,38 +692,6 @@ pub fn snapshot_files(dir: &Path, prefix: &str) -> Vec<(usize, std::path::PathBu
         .collect();
     found.sort_by_key(|e| std::cmp::Reverse(e.0));
     found
-}
-
-/// Loads the newest valid snapshot envelope of `kind` from `dir`.
-///
-/// Corrupt or unreadable snapshots are skipped (each logging a
-/// `checkpoint.corrupt` telemetry event) and the next-newest is tried;
-/// `Ok(None)` means no valid snapshot exists — callers start clean.
-pub fn load_latest(dir: &Path, prefix: &str, kind: &str) -> Result<Option<Envelope>> {
-    for (iter, path) in snapshot_files(dir, prefix) {
-        match load(&path, kind) {
-            Ok(env) => {
-                gmorph_telemetry::counter!("checkpoint.load");
-                gmorph_telemetry::point!(
-                    "checkpoint.loaded",
-                    iter = iter,
-                    path = path.display().to_string().as_str()
-                );
-                return Ok(Some(env));
-            }
-            Err(err) => {
-                gmorph_telemetry::counter!("checkpoint.corrupt");
-                gmorph_telemetry::point!(
-                    "checkpoint.rejected",
-                    iter = iter,
-                    path = path.display().to_string().as_str(),
-                    corruption = is_corruption(&err),
-                    error = err.to_string().as_str()
-                );
-            }
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
